@@ -19,6 +19,9 @@ from . import tensor as tc
 from .errors import ConfigError, ContractError, GeometryError, ShapeError
 from .tensor import Tensor
 
+# Query/key projection sharing; the index is the checkpoint's sharing code.
+SHARING_MODES = ("standard", "shared_qk")
+
 # When set, the bias is subtracted from the scores instead of added.
 # Deliberate defect switch used by the self-check command to prove the
 # invariant suites can catch a wrong-sign regression; never on by default.
@@ -114,15 +117,13 @@ class WindowAttentionParams:
     parameter.
     """
 
-    SHARING_MODES = ("standard", "shared_qk")
-
     def __init__(self, dim, heads, window, dropout_rate=0.0, sharing_mode="standard", rng=None):
         if heads < 1 or dim % heads:
             raise ConfigError(f"channels {dim} must be divisible by heads {heads}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-        if sharing_mode not in self.SHARING_MODES:
-            raise ConfigError(f"sharing_mode must be one of {self.SHARING_MODES}, got {sharing_mode!r}")
+        if sharing_mode not in SHARING_MODES:
+            raise ConfigError(f"sharing_mode must be one of {SHARING_MODES}, got {sharing_mode!r}")
         if rng is None:
             rng = np.random.default_rng(0)
         self.dim = dim

@@ -192,6 +192,8 @@ def read_ppm_p5(path) -> np.ndarray:
             w, h, maxval = (int(t) for t in _read_ppm_tokens(f, 3))
         except ValueError as exc:
             raise DataError(f"malformed PPM header: {exc}") from exc
+        if w < 1 or h < 1:
+            raise DataError(f"bad PPM dimensions {w}x{h}")
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
         payload = f.read(w * h)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as tc
 from .attention import (
+    SHARING_MODES,
     WindowAttentionParams,
     WindowGeometry,
     window_merge,
@@ -35,8 +36,6 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WMHV1"
 CHECKPOINT_VERSION = 1
-
-SHARING_MODES = ("standard", "shared_qk")
 
 
 @dataclass(frozen=True)

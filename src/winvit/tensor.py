@@ -665,11 +665,84 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # spatial ops
 
 
+def _unroll(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
+    """Gather every kernel tap of ``x[C,H,W]`` as one contiguous run.
+
+    ``x`` is zero-padded once into a row-major buffer of row width
+    ``W + 2*pad_x`` plus one spare row. Tap ``(dy, dx)`` of every output
+    position is then the run of ``ho * row`` elements starting at
+    ``dy * row + dx`` (unrolled convolution, Chellapilla et al. 2006).
+    Returns the columns ``[C, kh*kw, ho*row]`` and ``(ho, wo, row)``; the
+    last ``row - wo`` entries of each output row wrap around and are
+    cropped by the caller.
+    """
+    c, h, w = x.shape
+    row = w + 2 * pad_x
+    ho, wo = h + 2 * pad_y - kh + 1, row - kw + 1
+    buf = np.zeros((c, h + 2 * pad_y + 1, row), dtype=x.dtype)
+    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x
+    runs = np.lib.stride_tricks.sliding_window_view(buf.reshape(c, -1), ho * row, axis=1)
+    starts = (np.arange(kh)[:, None] * row + np.arange(kw)).ravel()
+    return runs[:, starts], (ho, wo, row)
+
+
+def _correlate(x: np.ndarray, kd: np.ndarray, pad_y: int, pad_x: int) -> np.ndarray:
+    """Zero-padded cross-correlation of ``x[C,H,W]`` with a dense
+    ``kd[O,C,kh,kw]`` or a depthwise ``kd[C,kh,kw]`` kernel, no bias."""
+    kh, kw = kd.shape[-2:]
+    cols, (ho, wo, row) = _unroll(x, kh, kw, pad_y, pad_x)
+    taps = kd.reshape(kd.shape[0], -1)
+    if kd.ndim == 4:
+        out = np.tensordot(taps, cols.reshape(-1, ho * row), axes=1)
+    else:
+        out = np.einsum("ct,ctn->cn", taps, cols)
+    return out.reshape(-1, ho, row)[:, :, :wo]
+
+
+def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
+    """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
+    shapes are validated; the kernel's rank selects dense or depthwise."""
+    kd = kernel.data
+    out = _correlate(x.data, kd, padding, padding) + bias.data[:, None, None]
+    _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
+    _count("elementwise", out.size)
+
+    def build():
+        xd = x.data
+        kh, kw = kd.shape[-2:]
+        h, w = xd.shape[1:]
+
+        def bwd(g):
+            # The input gradient is the full correlation of g with the
+            # flipped kernel, cropped to the unpadded input. It goes first
+            # so its columns are freed before the kernel gradient gathers x's.
+            if kd.ndim == 4:
+                flipped = kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            else:
+                flipped = kd[:, ::-1, ::-1]
+            gxp = _correlate(g, flipped, kh - 1, kw - 1)
+            gx = np.ascontiguousarray(gxp[:, padding : padding + h, padding : padding + w])
+            cols, (ho, wo, row) = _unroll(xd, kh, kw, padding, padding)
+            grow = np.zeros((g.shape[0], ho, row), dtype=g.dtype)
+            grow[:, :, :wo] = g
+            grow = grow.reshape(g.shape[0], -1)
+            if kd.ndim == 4:
+                gk = np.tensordot(grow, cols, axes=(1, 2))
+            else:
+                gk = np.einsum("cn,ctn->ct", grow, cols)
+            return gx, gk.reshape(kd.shape), g.sum(axis=(1, 2))
+
+        return bwd
+
+    return _emit(out, (x, kernel, bias), build, op_name)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Cross-correlation of ``x[Cin,H,W]`` with ``kernel[Cout,Cin,kh,kw]``.
 
     Zero padding, odd kernel sides; ``padding=(k-1)//2`` preserves H and W.
-    Evaluated as a direct sum over kernel taps.
+    Evaluated as unrolled convolution: one gather of all kernel taps and
+    one contraction over input channels and taps (:func:`_unroll`).
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects CHW input and OIHW kernel, got {x.shape} and {kernel.shape}")
@@ -683,43 +756,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     if padding < 0:
         raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
     _, h, w = x.shape
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho < 1 or wo < 1:
+    if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kernel.shape}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((cout, ho, wo), dtype=x.dtype)
-    kd = kernel.data
-    for dy in range(kh):
-        for dx in range(kw):
-            out += np.tensordot(kd[:, :, dy, dx], xp[:, dy : dy + ho, dx : dx + wo], axes=(1, 0))
-    out += bias.data[:, None, None]
-    _count("mac", 2 * cout * ho * wo * cin * kh * kw)
-    _count("elementwise", out.size)
-
-    def build():
-        def bwd(g):
-            gk = np.zeros_like(kd)
-            gxp = np.zeros_like(xp)
-            for dy in range(kh):
-                for dx in range(kw):
-                    patch = xp[:, dy : dy + ho, dx : dx + wo]
-                    gk[:, :, dy, dx] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
-                    gxp[:, dy : dy + ho, dx : dx + wo] += np.tensordot(
-                        kd[:, :, dy, dx].T, g, axes=(1, 0)
-                    )
-            gx = gxp[:, padding : padding + h, padding : padding + w]
-            if padding == 0:
-                gx = gx.copy()
-            return gx, gk, g.sum(axis=(1, 2))
-
-        return bwd
-
-    return _emit(out, (x, kernel, bias), build, "conv2d")
+    return _conv(x, kernel, bias, padding, "conv2d")
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
-    """Per-channel cross-correlation: ``kernel[C,kh,kw]`` filters channel c only."""
+    """Per-channel cross-correlation: ``kernel[C,kh,kw]`` filters channel c only.
+
+    Same unrolled evaluation as :func:`conv2d`, contracting over taps only.
+    """
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeError(f"depthwise conv expects CHW input and CHW kernel, got {x.shape} and {kernel.shape}")
     c, kh, kw = kernel.shape
@@ -729,38 +775,12 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> T
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if bias.shape != (c,):
         raise ShapeError(f"depthwise bias must be ({c},), got {bias.shape}")
+    if padding < 0:
+        raise ShapeError(f"depthwise padding must be >= 0, got {padding}")
     _, h, w = x.shape
-    ho = h + 2 * padding - kh + 1
-    wo = w + 2 * padding - kw + 1
-    if ho < 1 or wo < 1:
+    if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"depthwise output would be empty for input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((c, ho, wo), dtype=x.dtype)
-    kd = kernel.data
-    for dy in range(kh):
-        for dx in range(kw):
-            out += kd[:, dy, dx][:, None, None] * xp[:, dy : dy + ho, dx : dx + wo]
-    out += bias.data[:, None, None]
-    _count("mac", 2 * c * ho * wo * kh * kw)
-    _count("elementwise", out.size)
-
-    def build():
-        def bwd(g):
-            gk = np.zeros_like(kd)
-            gxp = np.zeros_like(xp)
-            for dy in range(kh):
-                for dx in range(kw):
-                    patch = xp[:, dy : dy + ho, dx : dx + wo]
-                    gk[:, dy, dx] = (g * patch).sum(axis=(1, 2))
-                    gxp[:, dy : dy + ho, dx : dx + wo] += kd[:, dy, dx][:, None, None] * g
-            gx = gxp[:, padding : padding + h, padding : padding + w]
-            if padding == 0:
-                gx = gx.copy()
-            return gx, gk, g.sum(axis=(1, 2))
-
-        return bwd
-
-    return _emit(out, (x, kernel, bias), build, "depthwise_conv2d")
+    return _conv(x, kernel, bias, padding, "depthwise_conv2d")
 
 
 def channel_pool(x: Tensor, mode: str) -> Tensor:

@@ -188,6 +188,13 @@ class TestPpmIO:
         with pytest.raises(DataError):
             write_ppm_p6(tmp_path / "x.ppm", np.zeros((1, 4, 4)))
 
+    @pytest.mark.parametrize("header", [b"P5\n-2 3\n255\n", b"P5\n0 3\n255\n"])
+    def test_grayscale_rejects_nonpositive_dimensions(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(DataError, match="bad PPM dimensions"):
+            read_ppm_p5(path)
+
 
 # ---------------------------------------------------------------------------
 # resize

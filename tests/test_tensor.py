@@ -86,6 +86,17 @@ def depthwise_oracle(x: np.ndarray, k: np.ndarray, b: np.ndarray, pad: int) -> n
     return out
 
 
+# (H, W), (kh, kw), padding: no padding, "same" padding, padding beyond
+# k - 1 (the input gradient is cropped), H != W and a non-square kernel
+CONV_CASES = [
+    ((6, 5), (3, 3), 0),
+    ((6, 5), (3, 3), 1),
+    ((5, 4), (3, 3), 3),
+    ((4, 6), (3, 5), 2),
+    ((5, 7), (3, 5), 0),
+]
+
+
 def channel_pool_oracle(x: np.ndarray, mode: str) -> np.ndarray:
     c, h, w = x.shape
     out = np.zeros((1, h, w), dtype=np.float64)
@@ -176,9 +187,9 @@ class TestForwardOracles:
 
     def test_conv2d_matches_six_loop(self):
         rng = np.random.default_rng(10)
-        for pad in (0, 1, 3):
-            x = rng.normal(size=(2, 6, 5))
-            k = rng.normal(size=(3, 2, 3, 3))
+        for (h, w), (kh, kw), pad in CONV_CASES:
+            x = rng.normal(size=(2, h, w))
+            k = rng.normal(size=(3, 2, kh, kw))
             b = rng.normal(size=(3,))
             got = tc.conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
             np.testing.assert_allclose(got, conv2d_oracle(x, k, b, pad), rtol=1e-6, atol=1e-6)
@@ -190,15 +201,17 @@ class TestForwardOracles:
         b = rng.normal(size=(1,))
         got = tc.conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), 3).data
         assert got.shape == (1, 8, 8)
-        np.testing.assert_allclose(got, conv2d_oracle(x, k, b, 3), rtol=1e-6, atol=1e-6)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, conv2d_oracle(x, k, b, 3), rtol=1e-12, atol=1e-12)
 
     def test_depthwise_matches_loop(self):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(4, 6, 6))
-        k = rng.normal(size=(4, 3, 3))
-        b = rng.normal(size=(4,))
-        got = tc.depthwise_conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), 1).data
-        np.testing.assert_allclose(got, depthwise_oracle(x, k, b, 1), rtol=1e-6, atol=1e-6)
+        for (h, w), (kh, kw), pad in CONV_CASES:
+            x = rng.normal(size=(4, h, w))
+            k = rng.normal(size=(4, kh, kw))
+            b = rng.normal(size=(4,))
+            got = tc.depthwise_conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
+            np.testing.assert_allclose(got, depthwise_oracle(x, k, b, pad), rtol=1e-6, atol=1e-6)
 
     def test_channel_pool_matches_loop(self):
         rng = np.random.default_rng(13)
@@ -412,10 +425,40 @@ class TestGradients:
         _fd_single(tc.layernorm_lastdim, [(3, 8), (8,), (8,)], seed=45)
 
     def test_conv_grads(self):
-        _fd_single(lambda x, k, b: tc.conv2d(x, k, b, 1), [(2, 4, 4), (2, 2, 3, 3), (2,)], seed=46)
-        _fd_single(
-            lambda x, k, b: tc.depthwise_conv2d(x, k, b, 1), [(3, 4, 4), (3, 3, 3), (3,)], seed=47
-        )
+        for i, ((h, w), (kh, kw), pad) in enumerate(CONV_CASES):
+            _fd_single(
+                lambda x, k, b: tc.conv2d(x, k, b, pad),
+                [(2, h, w), (2, 2, kh, kw), (2,)],
+                seed=460 + i,
+            )
+            _fd_single(
+                lambda x, k, b: tc.depthwise_conv2d(x, k, b, pad),
+                [(3, h, w), (3, kh, kw), (3,)],
+                seed=470 + i,
+            )
+        # the spatial gate's shape: [avg; max] pool, one 7x7 filter
+        _fd_single(lambda x, k, b: tc.conv2d(x, k, b, 3), [(2, 8, 8), (1, 2, 7, 7), (1,)], seed=46)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_keeps_dtype_and_contiguous_grads(self, dtype):
+        rng = np.random.default_rng(47)
+        cases = [
+            (tc.conv2d, (2, 5, 7), (3, 2, 3, 5), 2),
+            (tc.depthwise_conv2d, (3, 5, 7), (3, 3, 5), 3),
+        ]
+        for op, x_shape, k_shape, pad in cases:
+            x = tc.Tensor(rng.normal(size=x_shape).astype(dtype))
+            k = tc.Tensor(rng.normal(size=k_shape).astype(dtype))
+            b = tc.Tensor(rng.normal(size=k_shape[:1]).astype(dtype))
+            with tc.Tape() as tape:
+                out = op(x, k, b, pad)
+                loss = tc.reduce_sum(out)
+                grads = tc.backward(loss, tape)
+            assert out.dtype == dtype
+            for t in (x, k, b):
+                assert grads[t].dtype == dtype
+                assert grads[t].shape == t.shape
+            assert grads[x].flags.c_contiguous
 
     def test_channel_pool_grads(self):
         _fd_single(lambda x: tc.channel_pool(x, "avg"), [(3, 4, 4)], seed=48)
