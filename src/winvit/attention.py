@@ -77,34 +77,44 @@ def build_bias_index(window: int) -> np.ndarray:
 
 
 def window_partition(x: Tensor, window: int) -> Tensor:
-    """(H, W, C) -> (N, M^2, C): tiles in row-major tile order, tokens in
-    row-major order within each tile. Indivisible grids are an error; the
-    cost model assumes an exact partition, so no implicit padding.
+    """(H, W, C) -> (N, M^2, C), or a batch (B, H, W, C) -> (B*N, M^2, C):
+    tiles in row-major tile order, image by image, tokens in row-major
+    order within each tile. Folding the batch into the tile axis lets one
+    attention call cover every window of every image. Indivisible grids
+    are an error; the cost model assumes an exact partition, so no
+    implicit padding.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"window_partition expects (H, W, C), got {x.shape}")
-    h, w, c = x.shape
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"window_partition expects (H, W, C) or (B, H, W, C), got {x.shape}")
+    h, w, c = x.shape[-3:]
     geom = WindowGeometry(h, w, window)
+    b = x.shape[0] if x.ndim == 4 else 1
     m = window
-    t = tc.reshape(x, (h // m, m, w // m, m, c))
+    t = tc.reshape(x, (b * (h // m), m, w // m, m, c))
     t = tc.transpose(t, (0, 2, 1, 3, 4))
-    return tc.reshape(t, (geom.n_windows, m * m, c))
+    return tc.reshape(t, (b * geom.n_windows, m * m, c))
 
 
-def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
-    """Exact inverse of :func:`window_partition`."""
+def window_merge(windows: Tensor, geom: WindowGeometry, batch: int | None = None) -> Tensor:
+    """Exact inverse of :func:`window_partition`.
+
+    With ``batch`` None, ``windows`` holds one image's N tiles, (N, M^2, C),
+    and the result is (H, W, C). With ``batch=B`` it holds B*N tiles,
+    image by image, and the result is (B, H, W, C).
+    """
     if windows.ndim != 3:
         raise GeometryError(f"window_merge expects (N, M^2, C), got {windows.shape}")
     n, t, c = windows.shape
     m = geom.window
-    if n != geom.n_windows or t != geom.tokens_per_window:
+    b, lead = (1, ()) if batch is None else (batch, (batch,))
+    if n != b * geom.n_windows or t != geom.tokens_per_window:
         raise GeometryError(
-            f"window tensor {windows.shape} does not match geometry "
+            f"window tensor {windows.shape} does not match {b} image(s) of geometry "
             f"{geom.height}x{geom.width} window {m}"
         )
-    x = tc.reshape(windows, (geom.height // m, geom.width // m, m, m, c))
+    x = tc.reshape(windows, (b * geom.height // m, geom.width // m, m, m, c))
     x = tc.transpose(x, (0, 2, 1, 3, 4))
-    return tc.reshape(x, (geom.height, geom.width, c))
+    return tc.reshape(x, (*lead, geom.height, geom.width, c))
 
 
 class WindowAttentionParams:

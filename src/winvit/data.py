@@ -141,6 +141,15 @@ def _read_ppm_tokens(f, count: int) -> list:
     return tokens
 
 
+def _read_ppm_payload(f, nbytes: int) -> bytes:
+    """The ``nbytes`` pixel bytes after the header, checked against the
+    file size first so a huge declared size allocates nothing."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if nbytes > left:
+        raise DataError(f"PPM payload truncated: {left} of {nbytes} bytes")
+    return f.read(nbytes)
+
+
 def read_ppm(path) -> np.ndarray:
     """Binary P6 file -> (3, H, W) float64 in [0, 1]."""
     with open(path, "rb") as f:
@@ -155,9 +164,7 @@ def read_ppm(path) -> np.ndarray:
             raise DataError(f"bad PPM dimensions {w}x{h}")
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
-        payload = f.read(w * h * 3)
-        if len(payload) < w * h * 3:
-            raise DataError(f"PPM payload truncated: {len(payload)} of {w * h * 3} bytes")
+        payload = _read_ppm_payload(f, w * h * 3)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return arr.transpose(2, 0, 1).astype(np.float64) / maxval
 
@@ -196,9 +203,7 @@ def read_ppm_p5(path) -> np.ndarray:
             raise DataError(f"bad PPM dimensions {w}x{h}")
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
-        payload = f.read(w * h)
-        if len(payload) < w * h:
-            raise DataError(f"PPM payload truncated: {len(payload)} of {w * h} bytes")
+        payload = _read_ppm_payload(f, w * h)
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
 
 

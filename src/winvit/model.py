@@ -207,22 +207,24 @@ class Model:
 
 
 def patch_embed(image: Tensor, model: Model) -> Tensor:
-    """(3, S, S) image -> (H, W, C) token grid.
+    """(3, S, S) image -> (H, W, C) token grid, or a batch
+    (B, 3, S, S) -> (B, H, W, C).
 
     Non-overlapping patch_size^2 patches flattened channel-major and
     linearly projected.
     """
     config = model.config
     s = config.image_size
-    if image.shape != (3, s, s):
-        raise ConfigError(f"expected image (3, {s}, {s}), got {image.shape}")
+    if image.ndim not in (3, 4) or image.shape[-3:] != (3, s, s):
+        raise ConfigError(f"expected image (3, {s}, {s}) or a batch (B, 3, {s}, {s}), got {image.shape}")
+    lead = image.shape[:-3]
     p = config.patch_size
     g = config.grid
-    x = tc.reshape(image, (3, g, p, g, p))
-    x = tc.transpose(x, (1, 3, 0, 2, 4))
-    x = tc.reshape(x, (g * g, 3 * p * p))
+    x = tc.reshape(image, (-1, 3, g, p, g, p))
+    x = tc.transpose(x, (0, 2, 4, 1, 3, 5))
+    x = tc.reshape(x, (-1, 3 * p * p))
     x = tc.add(tc.matmul(x, model.patch_weight), model.patch_bias)
-    return tc.reshape(x, (g, g, config.embed_dim))
+    return tc.reshape(x, (*lead, g, g, config.embed_dim))
 
 
 def block_forward(
@@ -233,39 +235,46 @@ def block_forward(
     rng: np.random.Generator | None = None,
     capture: dict | None = None,
 ) -> Tensor:
-    """(H, W, C) -> (H, W, C) through both residual sublayers.
+    """(H, W, C) -> (H, W, C), or a batch (B, H, W, C) -> (B, H, W, C),
+    through both residual sublayers.
 
-    ``capture``, when given, receives the post-softmax attention weights
-    under "attn" and the spatial gate map under "sam".
+    Tokens of all images share each matmul, and the windows of all images
+    share one attention call. ``capture``, when given, receives the
+    post-softmax attention weights under "attn", (B*N, heads, M^2, M^2),
+    and the spatial gate map under "sam", (1, H, W) or (B, 1, H, W).
     """
-    h, w, c = x.shape
+    lead = x.shape[:-3]
+    h, w, c = x.shape[-3:]
     geom = WindowGeometry(h, w, config.window)
-    l = h * w
+    # channels-last grid <-> channels-first maps for the convolutions
+    k = len(lead)
+    to_chw = (*range(k), k + 2, k, k + 1)
+    to_hwc = (*range(k), k + 1, k + 2, k)
 
-    tokens = tc.reshape(x, (l, c))
+    tokens = tc.reshape(x, (-1, c))
     normed = tc.layernorm_lastdim(tokens, block.ln1_gamma, block.ln1_beta)
-    windows = window_partition(tc.reshape(normed, (h, w, c)), config.window)
+    windows = window_partition(tc.reshape(normed, x.shape), config.window)
     attn_out, _, attn_weights = window_mha_forward(
         windows, block.attn, training=training, rng=rng, return_scores=True
     )
     if capture is not None:
         capture["attn"] = attn_weights
-    merged = window_merge(attn_out, geom)
-    tokens = tc.add(tokens, tc.reshape(merged, (l, c)))
+    merged = window_merge(attn_out, geom, batch=lead[0] if lead else None)
+    tokens = tc.add(tokens, tc.reshape(merged, (-1, c)))
 
     normed = tc.layernorm_lastdim(tokens, block.ln2_gamma, block.ln2_beta)
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
     rc = hidden.shape[-1]
-    grid = tc.transpose(tc.reshape(hidden, (h, w, rc)), (2, 0, 1))
+    grid = tc.transpose(tc.reshape(hidden, (*lead, h, w, rc)), to_chw)
     grid = tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1)
     if capture is not None:
         from .spatial import sam_map
 
         capture["sam"] = sam_map(grid, block.sam)
     grid = sam_residual(grid, block.sam)
-    hidden = tc.reshape(tc.transpose(grid, (1, 2, 0)), (l, rc))
+    hidden = tc.reshape(tc.transpose(grid, to_hwc), (-1, rc))
     projected = tc.add(tc.matmul(hidden, block.fc2_weight), block.fc2_bias)
-    return tc.reshape(tc.add(tokens, projected), (h, w, c))
+    return tc.reshape(tc.add(tokens, projected), x.shape)
 
 
 def classify(
@@ -275,22 +284,24 @@ def classify(
     rng: np.random.Generator | None = None,
     capture: list | None = None,
 ) -> Tensor:
-    """Logits (num_classes,) for one image.
+    """Logits (num_classes,) for one (3, S, S) image, or (B, num_classes)
+    for a batch (B, 3, S, S) run as one graph.
 
     ``capture``, when given, is filled with one dict per block holding the
     attention weights and spatial gate map (see :func:`block_forward`).
     """
     config = model.config
     x = patch_embed(image, model)
+    lead = x.shape[:-3]
     for block in model.blocks:
         cap = {} if capture is not None else None
         x = block_forward(x, block, config, training=training, rng=rng, capture=cap)
         if capture is not None:
             capture.append(cap)
-    tokens = tc.reshape(x, (config.tokens, config.embed_dim))
-    pooled = tc.reduce_mean(tokens, axes=0, keepdims=True)
+    tokens = tc.reshape(x, (*lead, config.tokens, config.embed_dim))
+    pooled = tc.reduce_mean(tokens, axes=-2, keepdims=True)
     logits = tc.add(tc.matmul(pooled, model.head_weight), model.head_bias)
-    return tc.reshape(logits, (config.num_classes,))
+    return tc.reshape(logits, (*lead, config.num_classes))
 
 
 # ---------------------------------------------------------------------------

@@ -35,20 +35,23 @@ class SamParams:
 
 
 def sam_map(f: Tensor, params: SamParams) -> Tensor:
-    """Gate map for features ``f`` (C, H, W): sigmoid(conv7x7([avg; max])).
+    """Gate map for features ``f`` (C, H, W) or a batch (B, C, H, W):
+    sigmoid(conv7x7([avg; max])).
 
-    Output is (1, H, W) with every value strictly inside (0, 1). The
-    concat order is fixed avg-then-max; golden outputs depend on it.
+    Output is (1, H, W) or (B, 1, H, W) with every value strictly inside
+    (0, 1). The concat order is fixed avg-then-max; golden outputs depend
+    on it.
     """
     avg = tc.channel_pool(f, "avg")
     mx = tc.channel_pool(f, "max")
-    desc = tc.concat([avg, mx], axis=0)
+    desc = tc.concat([avg, mx], axis=-3)
     conv = tc.conv2d(desc, params.conv_kernel, params.conv_bias, padding=PADDING)
     return tc.sigmoid(conv)
 
 
 def sam_residual(f: Tensor, params: SamParams) -> Tensor:
-    """F + F * gate, the gate broadcast across channels.
+    """F + F * gate for ``f`` (C, H, W) or (B, C, H, W), the gate
+    broadcast across channels.
 
     With a zero-initialized kernel the gate is exactly 0.5 everywhere, so
     this reduces to 1.5 * F.

@@ -496,11 +496,7 @@ def take_lastdim(table: Tensor, index: np.ndarray) -> Tensor:
 
         def bwd(g):
             gt = np.zeros(t_shape, dtype=g.dtype)
-            flat = gt.reshape(-1, t_shape[-1])
-            gflat = g.reshape(-1, index.size)
-            idx = index.ravel()
-            for row in range(flat.shape[0]):
-                np.add.at(flat[row], idx, gflat[row])
+            np.add.at(gt, (..., index), g)
             return (gt,)
 
         return bwd
@@ -666,149 +662,169 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def _unroll(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
-    """Gather every kernel tap of ``x[C,H,W]`` as one contiguous run.
+    """Gather every kernel tap of ``x[..., H, W]`` as one contiguous run.
 
-    ``x`` is zero-padded once into a row-major buffer of row width
-    ``W + 2*pad_x`` plus one spare row. Tap ``(dy, dx)`` of every output
-    position is then the run of ``ho * row`` elements starting at
+    Leading axes (channels, or batch and channels) are folded into one.
+    Each ``H x W`` plane is zero-padded once into a row-major buffer of row
+    width ``W + 2*pad_x`` plus one spare row. Tap ``(dy, dx)`` of every
+    output position is then the run of ``ho * row`` elements starting at
     ``dy * row + dx`` (unrolled convolution, Chellapilla et al. 2006).
-    Returns the columns ``[C, kh*kw, ho*row]`` and ``(ho, wo, row)``; the
+    Returns the columns ``[..., kh*kw, ho*row]`` and ``(ho, wo, row)``; the
     last ``row - wo`` entries of each output row wrap around and are
     cropped by the caller.
     """
-    c, h, w = x.shape
+    *lead, h, w = x.shape
     row = w + 2 * pad_x
     ho, wo = h + 2 * pad_y - kh + 1, row - kw + 1
-    buf = np.zeros((c, h + 2 * pad_y + 1, row), dtype=x.dtype)
-    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x
-    runs = np.lib.stride_tricks.sliding_window_view(buf.reshape(c, -1), ho * row, axis=1)
+    buf = np.zeros((x.size // (h * w), h + 2 * pad_y + 1, row), dtype=x.dtype)
+    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x.reshape(-1, h, w)
+    runs = np.lib.stride_tricks.sliding_window_view(buf.reshape(buf.shape[0], -1), ho * row, axis=1)
     starts = (np.arange(kh)[:, None] * row + np.arange(kw)).ravel()
-    return runs[:, starts], (ho, wo, row)
+    cols = runs[:, starts].reshape(*lead, kh * kw, ho * row)
+    return cols, (ho, wo, row)
 
 
 def _correlate(x: np.ndarray, kd: np.ndarray, pad_y: int, pad_x: int) -> np.ndarray:
-    """Zero-padded cross-correlation of ``x[C,H,W]`` with a dense
-    ``kd[O,C,kh,kw]`` or a depthwise ``kd[C,kh,kw]`` kernel, no bias."""
+    """Zero-padded cross-correlation of a batch ``x[B,C,H,W]`` with a dense
+    ``kd[O,C,kh,kw]`` or a depthwise ``kd[C,kh,kw]`` kernel, no bias;
+    returns ``[B,O,ho,wo]``."""
     kh, kw = kd.shape[-2:]
     cols, (ho, wo, row) = _unroll(x, kh, kw, pad_y, pad_x)
     taps = kd.reshape(kd.shape[0], -1)
     if kd.ndim == 4:
-        out = np.tensordot(taps, cols.reshape(-1, ho * row), axes=1)
+        out = np.matmul(taps, cols.reshape(x.shape[0], -1, ho * row))
     else:
-        out = np.einsum("ct,ctn->cn", taps, cols)
-    return out.reshape(-1, ho, row)[:, :, :wo]
+        out = np.einsum("ct,bctn->bcn", taps, cols)
+    return out.reshape(x.shape[0], -1, ho, row)[..., :wo]
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
     """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
-    shapes are validated; the kernel's rank selects dense or depthwise."""
+    shapes are validated; the kernel's rank selects dense or depthwise.
+    A (C, H, W) input runs as a batch of one."""
     kd = kernel.data
-    out = _correlate(x.data, kd, padding, padding) + bias.data[:, None, None]
+    lead = x.shape[:-3]
+    xb = x.data.reshape(-1, *x.shape[-3:])
+    out = _correlate(xb, kd, padding, padding) + bias.data[:, None, None]
     _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
     _count("elementwise", out.size)
 
     def build():
-        xd = x.data
         kh, kw = kd.shape[-2:]
-        h, w = xd.shape[1:]
+        h, w = xb.shape[-2:]
+        batched = out.shape
 
         def bwd(g):
-            # The input gradient is the full correlation of g with the
-            # flipped kernel, cropped to the unpadded input. It goes first
-            # so its columns are freed before the kernel gradient gathers x's.
+            g = g.reshape(batched)
+            # The input gradient is the correlation of g with the flipped
+            # kernel. Padding g by k-1-padding yields exactly the unpadded
+            # input; a padding above k-1 leaves a border to crop. It goes
+            # first so its columns are freed before the kernel gradient
+            # gathers x's.
             if kd.ndim == 4:
                 flipped = kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
             else:
                 flipped = kd[:, ::-1, ::-1]
-            gxp = _correlate(g, flipped, kh - 1, kw - 1)
-            gx = np.ascontiguousarray(gxp[:, padding : padding + h, padding : padding + w])
-            cols, (ho, wo, row) = _unroll(xd, kh, kw, padding, padding)
-            grow = np.zeros((g.shape[0], ho, row), dtype=g.dtype)
-            grow[:, :, :wo] = g
-            grow = grow.reshape(g.shape[0], -1)
+            qy, qx = kh - 1 - padding, kw - 1 - padding
+            gx = _correlate(g, flipped, max(qy, 0), max(qx, 0))
+            cy, cx = max(-qy, 0), max(-qx, 0)
+            gx = np.ascontiguousarray(gx[:, :, cy : cy + h, cx : cx + w]).reshape(x.shape)
+            cols, (ho, wo, row) = _unroll(xb, kh, kw, padding, padding)
+            grow = np.zeros((*g.shape[:2], ho, row), dtype=g.dtype)
+            grow[..., :wo] = g
+            grow = grow.reshape(*g.shape[:2], -1)
             if kd.ndim == 4:
-                gk = np.tensordot(grow, cols, axes=(1, 2))
+                gk = np.tensordot(grow, cols.reshape(g.shape[0], -1, ho * row), axes=([0, 2], [0, 2]))
             else:
-                gk = np.einsum("cn,ctn->ct", grow, cols)
-            return gx, gk.reshape(kd.shape), g.sum(axis=(1, 2))
+                gk = np.einsum("bcn,bctn->ct", grow, cols)
+            return gx, gk.reshape(kd.shape), g.sum(axis=(0, 2, 3))
 
         return bwd
 
-    return _emit(out, (x, kernel, bias), build, op_name)
+    return _emit(out.reshape(*lead, *out.shape[1:]), (x, kernel, bias), build, op_name)
+
+
+def _conv_input(x: Tensor, name: str) -> None:
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"{name} expects (C, H, W) or (B, C, H, W) input, got {x.shape}")
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
-    """Cross-correlation of ``x[Cin,H,W]`` with ``kernel[Cout,Cin,kh,kw]``.
+    """Cross-correlation of ``x[Cin,H,W]`` or a batch ``x[B,Cin,H,W]`` with
+    ``kernel[Cout,Cin,kh,kw]``; returns ``[Cout,ho,wo]`` or ``[B,Cout,ho,wo]``.
 
     Zero padding, odd kernel sides; ``padding=(k-1)//2`` preserves H and W.
-    Evaluated as unrolled convolution: one gather of all kernel taps and
-    one contraction over input channels and taps (:func:`_unroll`).
+    Evaluated as unrolled convolution: one gather of all kernel taps of all
+    images and one contraction over input channels and taps (:func:`_unroll`).
     """
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects CHW input and OIHW kernel, got {x.shape} and {kernel.shape}")
+    _conv_input(x, "conv2d")
+    if kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects an OIHW kernel, got {kernel.shape}")
     cout, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[0] != cin:
+    if x.shape[-3] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     if padding < 0:
         raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kernel.shape}")
     return _conv(x, kernel, bias, padding, "conv2d")
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
-    """Per-channel cross-correlation: ``kernel[C,kh,kw]`` filters channel c only.
+    """Per-channel cross-correlation of ``x[C,H,W]`` or a batch
+    ``x[B,C,H,W]``: ``kernel[C,kh,kw]`` filters channel c only.
 
     Same unrolled evaluation as :func:`conv2d`, contracting over taps only.
     """
-    if x.ndim != 3 or kernel.ndim != 3:
-        raise ShapeError(f"depthwise conv expects CHW input and CHW kernel, got {x.shape} and {kernel.shape}")
+    _conv_input(x, "depthwise conv")
+    if kernel.ndim != 3:
+        raise ShapeError(f"depthwise conv expects a CHW kernel, got {kernel.shape}")
     c, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"depthwise kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[0] != c:
+    if x.shape[-3] != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if bias.shape != (c,):
         raise ShapeError(f"depthwise bias must be ({c},), got {bias.shape}")
     if padding < 0:
         raise ShapeError(f"depthwise padding must be >= 0, got {padding}")
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"depthwise output would be empty for input {x.shape}")
     return _conv(x, kernel, bias, padding, "depthwise_conv2d")
 
 
 def channel_pool(x: Tensor, mode: str) -> Tensor:
-    """Reduce ``x[C,H,W]`` across channels only, to ``[1,H,W]``."""
-    if x.ndim != 3:
-        raise ShapeError(f"channel_pool expects CHW input, got {x.shape}")
+    """Reduce ``x[C,H,W]`` or ``x[B,C,H,W]`` across channels (axis -3)
+    only, to ``[1,H,W]`` or ``[B,1,H,W]``."""
+    _conv_input(x, "channel_pool")
     if mode not in ("avg", "max"):
         raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
     _count("elementwise", x.size)
     if mode == "avg":
-        data = x.data.mean(axis=0, keepdims=True)
+        data = x.data.mean(axis=-3, keepdims=True)
 
         def build():
-            c = x.shape[0]
+            c = x.shape[-3]
             return lambda g: (np.broadcast_to(g / c, x.shape).astype(g.dtype, copy=True),)
 
         return _emit(data, (x,), build, "channel_pool_avg")
 
-    data = x.data.max(axis=0, keepdims=True)
+    data = x.data.max(axis=-3, keepdims=True)
 
     def build():
         # gradient flows to the first maximal channel per pixel
-        idx = np.argmax(x.data, axis=0)
+        idx = np.argmax(x.data, axis=-3)[..., None, :, :]
         x_shape = x.shape
 
         def bwd(g):
             gx = np.zeros(x_shape, dtype=g.dtype)
-            np.put_along_axis(gx, idx[None], g, axis=0)
+            np.put_along_axis(gx, idx, g, axis=-3)
             return (gx,)
 
         return bwd
@@ -863,8 +879,20 @@ def write_tensor(t: Tensor, f) -> None:
     f.write(t.data.astype(f"<f{width}", copy=False).tobytes())
 
 
+def _bytes_left(f) -> int:
+    here = f.tell()
+    end = f.seek(0, 2)
+    f.seek(here)
+    return end - here
+
+
 def read_tensor(f) -> Tensor:
-    from .errors import CheckpointMagicError, CheckpointTruncatedError
+    """Inverse of :func:`write_tensor` on a seekable binary file.
+
+    The rank and dims are checked against the bytes left in ``f`` before
+    anything of that size is read or allocated.
+    """
+    from .errors import CheckpointError, CheckpointMagicError, CheckpointTruncatedError
 
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
@@ -875,17 +903,18 @@ def read_tensor(f) -> Tensor:
     rank, width = struct.unpack("<IB", head)
     if width not in (4, 8):
         raise CheckpointMagicError(f"unsupported item width {width}")
-    dims_raw = f.read(8 * rank)
-    if len(dims_raw) < 8 * rank:
-        raise CheckpointTruncatedError("tensor dims truncated")
-    dims = struct.unpack(f"<{rank}Q", dims_raw) if rank else ()
-    count = 1
+    if 8 * rank > _bytes_left(f):
+        raise CheckpointTruncatedError(f"tensor dims truncated (rank {rank})")
+    dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
+    if 0 in dims:
+        raise CheckpointError(f"tensor dims {dims} hold an empty axis")
+    count = width
     for d in dims:
         count *= d
-    payload = f.read(count * width)
-    if len(payload) < count * width:
-        raise CheckpointTruncatedError("tensor payload truncated")
-    arr = np.frombuffer(payload, dtype=f"<f{width}").reshape(dims)
+    left = _bytes_left(f)
+    if count > left:
+        raise CheckpointTruncatedError(f"tensor payload truncated: {left} of {count} bytes")
+    arr = np.frombuffer(f.read(count), dtype=f"<f{width}").reshape(dims)
     return Tensor(arr.copy())
 
 

@@ -190,10 +190,12 @@ def train_loop(
 ):
     """Train ``model``; returns (TrainState, list of metrics-CSV rows).
 
-    Per step the row holds step, lr, loss; at evaluation points (every
-    ``eval_every`` steps, default once per epoch, plus the final step) the
-    val-split accuracy/precision/recall/F1 fill the remaining columns and
-    a checkpoint is written when ``checkpoint_dir`` is given.
+    Each step classifies its minibatch as one (B, 3, S, S) tensor, so one
+    graph is recorded and replayed per step; the last batch of an epoch may
+    be smaller. Per step the row holds step, lr, loss; at evaluation points
+    (every ``eval_every`` steps, default once per epoch, plus the final
+    step) the val-split accuracy/precision/recall/F1 fill the remaining
+    columns and a checkpoint is written when ``checkpoint_dir`` is given.
     """
     n = len(train_set.images)
     if n == 0:
@@ -212,13 +214,10 @@ def train_loop(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             lr = cosine_lr(state.step, total_steps, config.lr_init, config.lr_min)
+            images = Tensor(np.stack([train_set.images[i].data for i in batch]))
+            labels = np.array([train_set.labels[i] for i in batch])
             with Tape() as tape:
-                logit_list = [
-                    classify(train_set.images[i], model, training=True, rng=rng)
-                    for i in batch
-                ]
-                logits = tc.stack(logit_list)
-                labels = np.array([train_set.labels[i] for i in batch])
+                logits = classify(images, model, training=True, rng=rng)
                 loss = cross_entropy(logits, labels)
             grads = backward(loss, tape)
             loss_val = loss.item()

@@ -152,6 +152,31 @@ class TestWindowPartition:
         with pytest.raises(ShapeError):
             window_partition(tc.Tensor(np.zeros((8, 8))), 4)
 
+    def test_batched_partition_merge_roundtrip(self):
+        rng = np.random.default_rng(73)
+        for b in (1, 3):
+            for h, w, m in ((4, 4, 2), (6, 4, 2), (6, 9, 3), (5, 5, 5)):
+                geom = WindowGeometry(h, w, m)
+                x = tc.Tensor(rng.normal(size=(b, h, w, 3)))
+                windows = window_partition(x, m)
+                assert windows.shape == (b * geom.n_windows, m * m, 3)
+                # image-major: image i's tiles are exactly its own partition
+                for i in range(b):
+                    one = window_partition(tc.Tensor(x.data[i]), m)
+                    rows = slice(i * geom.n_windows, (i + 1) * geom.n_windows)
+                    np.testing.assert_array_equal(windows.data[rows], one.data)
+                back = window_merge(windows, geom, batch=b)
+                assert back.shape == (b, h, w, 3)
+                np.testing.assert_array_equal(back.data, x.data)
+
+    def test_merge_rejects_wrong_batch(self):
+        geom = WindowGeometry(4, 4, 2)
+        windows = window_partition(tc.Tensor(np.zeros((2, 4, 4, 3))), 2)
+        with pytest.raises(GeometryError):
+            window_merge(windows, geom)
+        with pytest.raises(GeometryError):
+            window_merge(windows, geom, batch=3)
+
     def test_partition_is_differentiable(self):
         x = tc.Tensor(np.random.default_rng(72).normal(size=(4, 4, 2)))
 

@@ -196,6 +196,19 @@ class TestPpmIO:
             read_ppm_p5(path)
 
 
+    @pytest.mark.parametrize("reader, header", [
+        (read_ppm, b"P6\n99999999999 99999999999\n255\n"),
+        (read_ppm_p5, b"P5\n99999999999 99999999999\n255\n"),
+        (read_ppm, b"P6\n50000 50000\n255\n"),
+        (read_ppm_p5, b"P5\n50000 50000\n255\n"),
+    ])
+    def test_oversized_dimensions_rejected_before_reading(self, tmp_path, reader, header):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(header + b"\x00" * 12)
+        with pytest.raises(DataError, match="PPM payload truncated: 12 of"):
+            reader(path)
+
+
 # ---------------------------------------------------------------------------
 # resize
 

@@ -13,6 +13,7 @@ import pytest
 
 from winvit import tensor as tc
 from winvit.attention import window_merge, window_partition
+from winvit.costs import model_cost
 from winvit.errors import (
     CheckpointError,
     CheckpointMagicError,
@@ -281,6 +282,71 @@ class TestForward:
             g = grads.get(t)
             assert g is not None, f"no gradient for {name}"
             assert np.abs(g).max() > 0, f"zero gradient for {name}"
+
+
+# ---------------------------------------------------------------------------
+# batched forward
+
+
+def _f64_batch(b, seed, depth=2):
+    m = randomize(Model(small_config(depth=depth)), seed=seed).to_dtype(np.float64)
+    images = np.random.default_rng(seed + 1).uniform(0, 1, size=(b, 3, 16, 16))
+    return m, images
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_batch_logits_match_single_calls(self, b):
+        m, images = _f64_batch(b, seed=150)
+        got = classify(tc.Tensor(images), m)
+        assert got.shape == (b, 3)
+        for i in range(b):
+            one = classify(tc.Tensor(images[i]), m)
+            assert one.shape == (3,)
+            np.testing.assert_allclose(got.data[i], one.data, rtol=0, atol=1e-12)
+
+    def test_batch_loss_gradients_match_stacked_single_graphs(self):
+        m, images = _f64_batch(3, seed=154)
+        labels = np.array([2, 0, 1])
+        results = []
+        for batched in (True, False):
+            with tc.Tape() as tape:
+                if batched:
+                    logits = classify(tc.Tensor(images), m, training=True)
+                else:
+                    logits = tc.stack([classify(tc.Tensor(im), m, training=True) for im in images])
+                loss = tc.cross_entropy_logits(logits, labels)
+                grads = tc.backward(loss, tape)
+            results.append((loss.item(), {name: grads[t] for name, t in m.named_params()}))
+        (loss_b, grads_b), (loss_s, grads_s) = results
+        assert abs(loss_b - loss_s) <= 1e-12
+        for name, g in grads_b.items():
+            np.testing.assert_allclose(g, grads_s[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_counted_macs_scale_with_batch(self):
+        cfg = small_config(depth=2)
+        m = Model(cfg)
+        with tc.FlopCounter() as counter:
+            classify(tc.zeros((5, 3, 16, 16)), m)
+        assert counter.mac_flops == 5 * model_cost(cfg, "windowed").total_flops
+
+    def test_batch_capture_shapes(self):
+        m, images = _f64_batch(2, seed=156)
+        capture = []
+        classify(tc.Tensor(images), m, capture=capture)
+        for cap in capture:
+            assert cap["attn"].shape == (2 * 4, 2, 4, 4)  # image-major windows
+            assert cap["sam"].shape == (2, 1, 4, 4)
+
+    def test_batch_patch_embed_matches_single(self):
+        m, images = _f64_batch(2, seed=158, depth=0)
+        got = patch_embed(tc.Tensor(images), m)
+        assert got.shape == (2, 4, 4, 8)
+        for i in range(2):
+            np.testing.assert_array_equal(got.data[i], patch_embed(tc.Tensor(images[i]), m).data)
+        for shape in ((2, 1, 16, 16), (1, 2, 3, 16, 16)):
+            with pytest.raises(ConfigError):
+                patch_embed(tc.zeros(shape), m)
 
 
 # ---------------------------------------------------------------------------

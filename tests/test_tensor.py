@@ -13,6 +13,7 @@ import pytest
 
 from winvit import tensor as tc
 from winvit.errors import (
+    CheckpointError,
     CheckpointMagicError,
     CheckpointTruncatedError,
     ConfigError,
@@ -411,6 +412,21 @@ class TestGradients:
         idx = np.array([[0, 0], [1, 0]])
         _fd_single(lambda t: tc.take_lastdim(t, idx), [(2, 3)], seed=38)
 
+    def test_take_lastdim_grad_is_per_row_scatter_add(self):
+        rng = np.random.default_rng(380)
+        table = tc.Tensor(rng.normal(size=(2, 3, 5)))
+        idx = rng.integers(0, 5, size=(4, 4))
+        weights = rng.normal(size=(2, 3, 4, 4))
+        with tc.Tape() as tape:
+            loss = tc.reduce_sum(tc.mul(tc.take_lastdim(table, idx), tc.Tensor(weights)))
+            got = tc.backward(loss, tape)[table]
+        expected = np.zeros((2, 3, 5))
+        for a in range(2):
+            for b in range(3):
+                for i, j in np.ndindex(4, 4):
+                    expected[a, b, idx[i, j]] += weights[a, b, i, j]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
     def test_reduce_grads(self):
         _fd_single(lambda a: tc.reduce_sum(a, axes=1), [(3, 4)], seed=39)
         _fd_single(lambda a: tc.reduce_mean(a, axes=(0, 1)), [(3, 4)], seed=40)
@@ -597,6 +613,69 @@ class TestFlopCounter:
 
 
 # ---------------------------------------------------------------------------
+# batch axis
+
+
+def _batch_vs_samples(op, x, params, seed):
+    """Run ``op`` on the batch ``x[B, ...]`` and on each sample alone, in
+    float64 and under a tape. Returns (output, input gradient, parameter
+    gradients) of a weighted sum for the batch, and the same stacked over
+    the samples with the parameter gradients summed."""
+    xt = tc.Tensor(x)
+    ps = [tc.Tensor(p) for p in params]
+    weights = np.random.default_rng(seed).normal(size=op(xt, *ps).shape)
+
+    def run(inp, w):
+        with tc.Tape() as tape:
+            out = op(inp, *ps)
+            loss = tc.reduce_sum(tc.mul(out, tc.Tensor(w)))
+            grads = tc.backward(loss, tape)
+        return out.data, grads[inp], [grads[p] for p in ps]
+
+    batched = run(xt, weights)
+    per_sample = [run(tc.Tensor(x[i]), weights[i]) for i in range(x.shape[0])]
+    outs, gxs, gps = zip(*per_sample)
+    return batched, (np.stack(outs), np.stack(gxs), [sum(g) for g in zip(*gps)])
+
+
+class TestBatchAxis:
+    """A (B, C, H, W) input is B (C, H, W) inputs evaluated in one op."""
+
+    def test_conv_batch_matches_per_sample(self):
+        rng = np.random.default_rng(480)
+        for i, ((h, w), (kh, kw), pad) in enumerate(CONV_CASES):
+            cases = [
+                (tc.conv2d, (3, 2, kh, kw)),
+                (tc.depthwise_conv2d, (2, kh, kw)),
+            ]
+            for op, k_shape in cases:
+                x = rng.normal(size=(3, 2, h, w))
+                params = [rng.normal(size=k_shape), rng.normal(size=k_shape[:1])]
+                batched, single = _batch_vs_samples(
+                    lambda x, k, b: op(x, k, b, pad), x, params, seed=490 + i
+                )
+                assert batched[0].shape == single[0].shape
+                for got, want in zip(batched[:2] + tuple(batched[2]), single[:2] + tuple(single[2])):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_channel_pool_batch_matches_per_sample(self):
+        rng = np.random.default_rng(481)
+        x = rng.normal(size=(4, 5, 3, 6))
+        for mode in ("avg", "max"):
+            batched, single = _batch_vs_samples(lambda x: tc.channel_pool(x, mode), x, [], seed=482)
+            assert batched[0].shape == (4, 1, 3, 6)
+            np.testing.assert_allclose(batched[0], single[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[1], single[1], rtol=0, atol=1e-12)
+
+    def test_rank_outside_3_or_4_rejected(self):
+        for shape in ((5, 5), (1, 1, 2, 5, 5)):
+            with pytest.raises(ShapeError):
+                tc.conv2d(tc.ones(shape), tc.ones((1, 2, 3, 3)), tc.zeros((1,)), 1)
+            with pytest.raises(ShapeError):
+                tc.channel_pool(tc.ones(shape), "max")
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -638,6 +717,17 @@ class TestTensorSerialization:
         assert (rank, width) == (2, 4)
         assert struct.unpack("<2Q", raw[9:25]) == (2, 3)
         assert len(raw) == 25 + 6 * 4
+
+    @pytest.mark.parametrize("rank, dims", [(2, (2**40, 2**40)), (2, (2**63, 3)), (2**31, ())])
+    def test_oversized_header_rejected_before_reading(self, rank, dims):
+        raw = b"WMHT" + struct.pack("<IB", rank, 4) + struct.pack(f"<{len(dims)}Q", *dims) + b"\x00" * 8
+        with pytest.raises(CheckpointTruncatedError):
+            tc.read_tensor(io.BytesIO(raw))
+
+    def test_empty_axis_rejected(self):
+        raw = b"WMHT" + struct.pack("<IB", 2, 4) + struct.pack("<2Q", 0, 2**40)
+        with pytest.raises(CheckpointError):
+            tc.read_tensor(io.BytesIO(raw))
 
     def test_unsupported_width_rejected(self):
         raw = b"WMHT" + struct.pack("<IB", 1, 2) + struct.pack("<Q", 1) + b"\x00\x00"

@@ -15,7 +15,7 @@ import winvit.train as train_mod
 from winvit import tensor as tc
 from winvit.data import SyntheticSpec, generate_synthetic
 from winvit.errors import ConfigError, DivergenceError
-from winvit.model import Model, ModelConfig
+from winvit.model import Model, ModelConfig, classify
 from winvit.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -291,6 +291,28 @@ class TestTrainLoop:
             int(p.stem.replace("ckpt_step", "")) for p in tmp_path.glob("ckpt_step*.wmh")
         )
         assert found == expected
+
+    def test_partial_last_batch_is_one_smaller_graph(self, monkeypatch):
+        # 12 training images at batch size 5: batches of 5, 5 and 2, each
+        # classified as one (B, 3, S, S) tensor in permutation order
+        data = tiny_data()
+        images = data["train"].images
+        seen = []
+
+        def recording_classify(image, model, training=False, **kwargs):
+            if training:
+                seen.append(image.data.copy())
+            return classify(image, model, training=training, **kwargs)
+
+        monkeypatch.setattr(train_mod, "classify", recording_classify)
+        cfg = TrainConfig(epochs=1, batch_size=5, seed=9)
+        model = Model(ModelConfig(**TINY_MODEL))
+        _, rows = train_loop(model, data["train"], data["val"], cfg)
+        assert [batch.shape[0] for batch in seen] == [5, 5, 2]
+        order = np.random.default_rng(cfg.seed).permutation(len(images))
+        np.testing.assert_array_equal(seen[2], np.stack([images[i].data for i in order[10:]]))
+        assert len(rows) == 1 + 3
+        assert all(math.isfinite(float(r.split(",")[2])) for r in rows[1:])
 
     def test_lr_column_follows_cosine(self):
         data = tiny_data()
