@@ -95,26 +95,24 @@ def window_partition(x: Tensor, window: int) -> Tensor:
     return tc.reshape(t, (b * geom.n_windows, m * m, c))
 
 
-def window_merge(windows: Tensor, geom: WindowGeometry, batch: int | None = None) -> Tensor:
-    """Exact inverse of :func:`window_partition`.
-
-    With ``batch`` None, ``windows`` holds one image's N tiles, (N, M^2, C),
-    and the result is (H, W, C). With ``batch=B`` it holds B*N tiles,
-    image by image, and the result is (B, H, W, C).
+def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
+    """Exact inverse of :func:`window_partition`: (N, M^2, C) -> (H, W, C),
+    or (B*N, M^2, C) -> (B, H, W, C) for B > 1. The batch size is the
+    window count over the N tiles per image.
     """
     if windows.ndim != 3:
         raise GeometryError(f"window_merge expects (N, M^2, C), got {windows.shape}")
     n, t, c = windows.shape
     m = geom.window
-    b, lead = (1, ()) if batch is None else (batch, (batch,))
-    if n != b * geom.n_windows or t != geom.tokens_per_window:
+    if n % geom.n_windows or t != geom.tokens_per_window:
         raise GeometryError(
-            f"window tensor {windows.shape} does not match {b} image(s) of geometry "
+            f"window tensor {windows.shape} does not match geometry "
             f"{geom.height}x{geom.width} window {m}"
         )
+    b = n // geom.n_windows
     x = tc.reshape(windows, (b * geom.height // m, geom.width // m, m, m, c))
     x = tc.transpose(x, (0, 2, 1, 3, 4))
-    return tc.reshape(x, (*lead, geom.height, geom.width, c))
+    return tc.reshape(x, (*((b,) if b > 1 else ()), geom.height, geom.width, c))
 
 
 class WindowAttentionParams:

@@ -259,7 +259,7 @@ def block_forward(
     )
     if capture is not None:
         capture["attn"] = attn_weights
-    merged = window_merge(attn_out, geom, batch=lead[0] if lead else None)
+    merged = window_merge(attn_out, geom)
     tokens = tc.add(tokens, tc.reshape(merged, (-1, c)))
 
     normed = tc.layernorm_lastdim(tokens, block.ln2_gamma, block.ln2_beta)

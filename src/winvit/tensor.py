@@ -21,6 +21,7 @@ counts; the other buckets are bookkeeping estimates.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from contextlib import contextmanager
@@ -676,8 +677,9 @@ def _unroll(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
     *lead, h, w = x.shape
     row = w + 2 * pad_x
     ho, wo = h + 2 * pad_y - kh + 1, row - kw + 1
-    buf = np.zeros((x.size // (h * w), h + 2 * pad_y + 1, row), dtype=x.dtype)
-    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x.reshape(-1, h, w)
+    planes = math.prod(lead)
+    buf = np.zeros((planes, h + 2 * pad_y + 1, row), dtype=x.dtype)
+    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x.reshape(planes, h, w)
     runs = np.lib.stride_tricks.sliding_window_view(buf.reshape(buf.shape[0], -1), ho * row, axis=1)
     starts = (np.arange(kh)[:, None] * row + np.arange(kw)).ravel()
     cols = runs[:, starts].reshape(*lead, kh * kw, ho * row)
@@ -692,10 +694,10 @@ def _correlate(x: np.ndarray, kd: np.ndarray, pad_y: int, pad_x: int) -> np.ndar
     cols, (ho, wo, row) = _unroll(x, kh, kw, pad_y, pad_x)
     taps = kd.reshape(kd.shape[0], -1)
     if kd.ndim == 4:
-        out = np.matmul(taps, cols.reshape(x.shape[0], -1, ho * row))
+        out = np.matmul(taps, cols.reshape(x.shape[0], taps.shape[1], ho * row))
     else:
         out = np.einsum("ct,bctn->bcn", taps, cols)
-    return out.reshape(x.shape[0], -1, ho, row)[..., :wo]
+    return out.reshape(x.shape[0], kd.shape[0], ho, row)[..., :wo]
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
@@ -704,7 +706,7 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -
     A (C, H, W) input runs as a batch of one."""
     kd = kernel.data
     lead = x.shape[:-3]
-    xb = x.data.reshape(-1, *x.shape[-3:])
+    xb = x.data.reshape(math.prod(lead), *x.shape[-3:])
     out = _correlate(xb, kd, padding, padding) + bias.data[:, None, None]
     _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
     _count("elementwise", out.size)

@@ -667,6 +667,26 @@ class TestBatchAxis:
             np.testing.assert_allclose(batched[0], single[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(batched[1], single[1], rtol=0, atol=1e-12)
 
+    def test_conv_of_empty_plane_is_bias_only(self):
+        # Tensor() rejects an empty axis, but an array assigned to .data is
+        # not checked; padding then leaves a non-empty output of pure bias.
+        cases = [(tc.conv2d, (2, 3, 3, 3)), (tc.depthwise_conv2d, (3, 3, 3))]
+        for op, k_shape in cases:
+            for shape in ((3, 0, 5), (3, 5, 0), (2, 3, 0, 5)):
+                x = tc.ones((1,) * len(shape))
+                x.data = np.zeros(shape)
+                kernel = tc.ones(k_shape, np.float64)
+                bias = tc.Tensor(np.arange(k_shape[0], dtype=np.float64))
+                with tc.Tape() as tape:
+                    y = op(x, kernel, bias, 2)
+                    loss = tc.reduce_sum(tc.mul(y, y))
+                want = np.broadcast_to(bias.data[:, None, None], y.shape[-3:])
+                np.testing.assert_array_equal(y.data, np.broadcast_to(want, y.shape))
+                grads = tc.backward(loss, tape)
+                assert grads[x].shape == shape
+                np.testing.assert_array_equal(grads[kernel], np.zeros(k_shape))
+                np.testing.assert_array_equal(grads[bias], 2 * y.data.sum(axis=(*range(y.ndim - 3), -2, -1)))
+
     def test_rank_outside_3_or_4_rejected(self):
         for shape in ((5, 5), (1, 1, 2, 5, 5)):
             with pytest.raises(ShapeError):
