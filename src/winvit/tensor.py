@@ -27,7 +27,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     ConfigError,
@@ -261,7 +260,11 @@ def _emit(data, inputs, backward_builder, op_name: str) -> Tensor:
 
 
 class Gradients:
-    """Gradient map returned by :func:`backward`, keyed by tensor identity."""
+    """Gradient map returned by :func:`backward`, keyed by tensor identity.
+
+    It holds the gradients of the tape's leaves (parameters and inputs),
+    not those of tensors that an op on the tape produced.
+    """
 
     def __init__(self, grads: dict):
         self._grads = grads
@@ -284,14 +287,18 @@ class Gradients:
 
 def backward(loss: Tensor, tape: Tape) -> Gradients:
     """Reverse-replay ``tape`` from a scalar ``loss``; gradients accumulate
-    additively where a tensor feeds several consumers."""
+    additively where a tensor feeds several consumers.
+
+    A node's output gradient is complete once the node runs, so it is
+    dropped there: only leaf gradients are returned.
+    """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if not any(node.output is loss for node in tape.nodes):
         raise ContractError("loss was not produced on this tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        gout = grads.get(id(node.output))
+        gout = grads.pop(id(node.output), None)
         if gout is None:
             continue
         gins = node.backward(gout)
@@ -569,10 +576,68 @@ def sigmoid(a: Tensor) -> Tensor:
     return _emit(out, (a,), build, "sigmoid")
 
 
+# erf as piecewise Taylor polynomials, one about the left end of each of
+# _ERF_CELLS equal cells of [0, _ERF_SPAN]; |x| is clamped to _ERF_SPAN,
+# where erf rounds to 1 in float64. Odd symmetry covers x < 0. Expanding
+# about the left end makes erf(0) = 0 and erf(+-6) = +-1 exact.
+_ERF_SPAN = 6.0
+_ERF_CELLS = 2048
+
+
+def _erf_table(dtype) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The cells' start points, and per power of (x - start) the Taylor
+    coefficients of every cell, the highest power first.
+
+    Coefficient k of the cell starting at c is erf^(k)(c) / k!, where
+    erf^(k)(x) = 2/sqrt(pi) (-1)^(k-1) H_(k-1)(x) exp(-x^2) for the
+    physicists' Hermite polynomials H. The degree is the lowest whose
+    Taylor remainder over one cell is below ``dtype``'s epsilon, bounding
+    |H_n(x)| exp(-x^2/2) by 1.086435 sqrt(2^n n!) (Abramowitz & Stegun
+    22.14.17): 2 in float32, 5 in float64.
+    """
+    h = _ERF_SPAN / _ERF_CELLS
+    eps = np.finfo(dtype).eps
+    deg = 1
+    while (
+        2 / math.sqrt(math.pi) * 1.086435 * math.sqrt(2.0**deg * math.factorial(deg))
+        * h ** (deg + 1) / math.factorial(deg + 1)
+    ) >= eps:
+        deg += 1
+    c = np.arange(_ERF_CELLS + 1) * h
+    coef = np.empty((deg + 1, _ERF_CELLS + 1))
+    coef[0] = [math.erf(v) for v in c]
+    pdf2 = 2 / math.sqrt(math.pi) * np.exp(-c * c)
+    herm_prev, herm = np.zeros_like(c), np.ones_like(c)  # H_(k-2), H_(k-1)
+    for k in range(1, deg + 1):
+        coef[k] = (-1) ** (k - 1) * herm * pdf2 / math.factorial(k)
+        herm_prev, herm = herm, 2 * c * herm - 2 * (k - 1) * herm_prev
+    return c.astype(dtype), tuple(coef[::-1].astype(dtype))
+
+
+_ERF_TABLES = {np.dtype(t): _erf_table(t) for t in (np.float32, np.float64)}
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float32 or float64 array, in its dtype, by Horner with one
+    ``take`` per coefficient. NaN maps to NaN and +-inf to +-1."""
+    starts, coef = _ERF_TABLES[x.dtype]
+    flat = x.reshape(-1)
+    t = np.minimum(np.abs(flat), _ERF_SPAN)
+    # fmin sends NaN to the last cell's index, while t (and so dx) keeps it.
+    idx = np.fmin(t * (_ERF_CELLS / _ERF_SPAN), _ERF_CELLS).astype(np.intp)
+    dx = t - starts.take(idx)
+    p = coef[0].take(idx)
+    for ck in coef[1:]:
+        p *= dx
+        p += ck.take(idx)
+    return np.copysign(p, flat, out=p).reshape(x.shape)
+
+
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = erf(x * _INV_SQRT2)
-    out = 0.5 * x * (1.0 + inner)
+    inner = _erf(x * _INV_SQRT2)
+    with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0 = NaN
+        out = 0.5 * x * (1.0 + inner)
     _count("elementwise", a.size)
 
     def build():
@@ -918,12 +983,6 @@ def read_tensor(f) -> Tensor:
         raise CheckpointTruncatedError(f"tensor payload truncated: {left} of {count} bytes")
     arr = np.frombuffer(f.read(count), dtype=f"<f{width}").reshape(dims)
     return Tensor(arr.copy())
-
-
-def debug_dump(t: Tensor) -> str:
-    """Human-readable dump used when inspecting golden files."""
-    body = np.array2string(t.data, precision=6, threshold=64, suppress_small=False)
-    return f"Tensor shape={list(t.shape)} dtype={t.dtype.name}\n{body}"
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,20 @@ class TestBatchedForward:
             classify(tc.zeros((5, 3, 16, 16)), m)
         assert counter.mac_flops == 5 * model_cost(cfg, "windowed").total_flops
 
+    def test_desk_step_returns_only_leaf_gradients(self):
+        # a node's output gradient is dropped once the node has run; the
+        # parameters keep theirs
+        m = Model(ModelConfig())
+        images = np.random.default_rng(160).normal(size=(8, 3, 64, 64)).astype(np.float32)
+        with tc.Tape() as tape:
+            logits = classify(tc.Tensor(images), m, training=True)
+            loss = tc.cross_entropy_logits(logits, np.arange(8) % 3)
+        grads = tc.backward(loss, tape)
+        assert len(tape.nodes) > 200
+        assert not any(node.output in grads for node in tape.nodes)
+        for name, t in m.named_params():
+            assert t in grads, name
+
     def test_batch_capture_shapes(self):
         m, images = _f64_batch(2, seed=156)
         capture = []

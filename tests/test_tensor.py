@@ -6,7 +6,11 @@ itself. Gradient claims are checked with central finite differences.
 """
 
 import io
+import math
 import struct
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +257,60 @@ class TestForwardOracles:
         assert y[0] == 0.0
         np.testing.assert_allclose(y[1], 10.0, atol=1e-6)
         np.testing.assert_allclose(y[2], 0.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# erf (the numpy-only one inside gelu)
+
+
+ERF_GRID = np.linspace(-9.0, 9.0, 200_001)
+
+
+class TestErf:
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1.2e-7), (np.float64, 1e-15)])
+    def test_matches_math_erf(self, dtype, tol):
+        x = ERF_GRID.astype(dtype)
+        ref = np.array([math.erf(v) for v in x.tolist()])
+        assert np.abs(tc._erf(x) - ref).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_with_zero_at_zero(self, dtype):
+        x = ERF_GRID.astype(dtype)
+        np.testing.assert_array_equal(tc._erf(-x), -tc._erf(x))
+        assert tc._erf(np.zeros(1, dtype))[0] == 0.0
+
+    def test_exactly_one_from_six_in_float64(self):
+        x = np.array([6.0, 6.5, 9.0, 1e6, 1e300, np.inf])
+        np.testing.assert_array_equal(tc._erf(x), np.ones_like(x))
+        np.testing.assert_array_equal(tc._erf(-x), -np.ones_like(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (1,), (3, 4), (2, 3, 5)])
+    def test_keeps_dtype_and_shape(self, dtype, shape):
+        x = np.random.default_rng(60).normal(size=shape).astype(dtype)
+        y = tc._erf(x)
+        assert y.dtype == dtype
+        assert y.shape == shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_inputs_raise_no_warning(self, dtype):
+        x = np.array([np.nan, np.inf, -np.inf], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = tc._erf(x)
+            y = tc.gelu(tc.Tensor(x)).data
+        np.testing.assert_array_equal(e, [np.nan, 1.0, -1.0])
+        np.testing.assert_array_equal(y, [np.nan, np.inf, np.nan])
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, winvit, winvit.cli, winvit.checks; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +829,6 @@ class TestDebugFacilities:
         # disabled mode lets the same op through
         bad = tc.Tensor(np.array([1.0, np.inf]))
         tc.add(bad, tc.ones((2,)))
-
-    def test_debug_dump_contains_shape_and_values(self):
-        t = tc.Tensor(np.array([[1.5, 2.5]]))
-        s = tc.debug_dump(t)
-        assert "shape=[1, 2]" in s
-        assert "1.5" in s
 
     def test_shape_errors_name_the_problem(self):
         with pytest.raises(ShapeError):

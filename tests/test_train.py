@@ -337,6 +337,17 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train_loop(model, data["train"], data["val"], cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_activation_is_divergence(self, value):
+        # a non-finite fc1 output reaches gelu; the step must end in the
+        # loop's DivergenceError, not in an exception from inside an op
+        data = tiny_data()
+        model = Model(ModelConfig(**TINY_MODEL))
+        dict(model.named_params())["block0.fc1_bias"].data[0] = value
+        with pytest.raises(DivergenceError, match="non-finite loss"):
+            train_loop(model, data["train"], data["val"], TrainConfig(epochs=1, batch_size=4))
+
     def test_empty_train_split_rejected(self):
         data = tiny_data()
         data["train"].images = []
