@@ -84,9 +84,9 @@ class RunConfig:
 
         if config_path is not None:
             try:
-                with open(config_path) as f:
+                with open(config_path, encoding="utf-8") as f:
                     lines = f.readlines()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
             for lineno, line in enumerate(lines, start=1):
                 line = line.split("#", 1)[0].strip()

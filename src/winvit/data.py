@@ -250,11 +250,16 @@ def load_manifest(path, image_size: int, num_classes: int | None = None) -> dict
     val = Dataset(split="val")
     max_label = -1
     try:
-        f = open(path, newline="")
+        # undecodable bytes survive as surrogates and are reported per row
+        f = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot open manifest {path}: {exc}") from exc
     with f:
         for rownum, row in enumerate(csv.reader(f), start=1):
+            try:
+                ",".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"manifest row {rownum}: not UTF-8 text in {path}") from None
             if not row or (rownum == 1 and row[0].strip().lower() == "filepath"):
                 continue
             if len(row) != 3:

@@ -160,49 +160,12 @@ class Model:
         return sum(t.size for _, t in self.named_params())
 
     def to_dtype(self, dtype) -> "Model":
-        """Copy with every parameter cast; used for 64-bit verification."""
-        other = Model.__new__(Model)
-        other.config = self.config
-        other.patch_weight = Tensor(self.patch_weight.data, dtype=dtype)
-        other.patch_bias = Tensor(self.patch_bias.data, dtype=dtype)
-        other.blocks = []
-        for block in self.blocks:
-            nb = Block.__new__(Block)
-            nb.ln1_gamma = Tensor(block.ln1_gamma.data, dtype=dtype)
-            nb.ln1_beta = Tensor(block.ln1_beta.data, dtype=dtype)
-            attn = block.attn
-            na = WindowAttentionParams.__new__(WindowAttentionParams)
-            na.dim = attn.dim
-            na.heads = attn.heads
-            na.window = attn.window
-            na.dropout_rate = attn.dropout_rate
-            na.sharing_mode = attn.sharing_mode
-            na.w_q = Tensor(attn.w_q.data, dtype=dtype)
-            na.w_k = na.w_q if attn.sharing_mode == "shared_qk" else Tensor(attn.w_k.data, dtype=dtype)
-            na.w_v = Tensor(attn.w_v.data, dtype=dtype)
-            na.w_o = Tensor(attn.w_o.data, dtype=dtype)
-            na.b_q = Tensor(attn.b_q.data, dtype=dtype)
-            na.b_k = Tensor(attn.b_k.data, dtype=dtype)
-            na.b_v = Tensor(attn.b_v.data, dtype=dtype)
-            na.b_o = Tensor(attn.b_o.data, dtype=dtype)
-            na.bias_table = Tensor(attn.bias_table.data, dtype=dtype)
-            na.bias_index = attn.bias_index
-            nb.attn = na
-            nb.ln2_gamma = Tensor(block.ln2_gamma.data, dtype=dtype)
-            nb.ln2_beta = Tensor(block.ln2_beta.data, dtype=dtype)
-            nb.fc1_weight = Tensor(block.fc1_weight.data, dtype=dtype)
-            nb.fc1_bias = Tensor(block.fc1_bias.data, dtype=dtype)
-            nb.dw_kernel = Tensor(block.dw_kernel.data, dtype=dtype)
-            nb.dw_bias = Tensor(block.dw_bias.data, dtype=dtype)
-            sam = SamParams.__new__(SamParams)
-            sam.conv_kernel = Tensor(block.sam.conv_kernel.data, dtype=dtype)
-            sam.conv_bias = Tensor(block.sam.conv_bias.data, dtype=dtype)
-            nb.sam = sam
-            nb.fc2_weight = Tensor(block.fc2_weight.data, dtype=dtype)
-            nb.fc2_bias = Tensor(block.fc2_bias.data, dtype=dtype)
-            other.blocks.append(nb)
-        other.head_weight = Tensor(self.head_weight.data, dtype=dtype)
-        other.head_bias = Tensor(self.head_bias.data, dtype=dtype)
+        """Copy with every parameter cast; used for 64-bit verification.
+        Tensors shared between names (``shared_qk``) stay shared, since
+        ``named_params`` yields each once."""
+        other = Model(self.config)
+        for (_, src), (_, dst) in zip(self.named_params(), other.named_params()):
+            dst.data = src.data.astype(dtype)
         return other
 
 
@@ -246,7 +209,7 @@ def block_forward(
     lead = x.shape[:-3]
     h, w, c = x.shape[-3:]
     geom = WindowGeometry(h, w, config.window)
-    # channels-last grid <-> channels-first maps for the convolutions
+    # channels-last grid <-> channels-first maps around the spatial gate
     k = len(lead)
     to_chw = (*range(k), k + 2, k, k + 1)
     to_hwc = (*range(k), k + 1, k + 2, k)
@@ -265,8 +228,8 @@ def block_forward(
     normed = tc.layernorm_lastdim(tokens, block.ln2_gamma, block.ln2_beta)
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
     rc = hidden.shape[-1]
-    grid = tc.transpose(tc.reshape(hidden, (*lead, h, w, rc)), to_chw)
-    grid = tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1)
+    grid = tc.reshape(hidden, (*lead, h, w, rc))
+    grid = tc.transpose(tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1), to_chw)
     if capture is not None:
         from .spatial import sam_map
 

@@ -42,11 +42,13 @@ def sam_map(f: Tensor, params: SamParams) -> Tensor:
     (0, 1). The concat order is fixed avg-then-max; golden outputs depend
     on it.
     """
-    avg = tc.channel_pool(f, "avg")
-    mx = tc.channel_pool(f, "max")
-    desc = tc.concat([avg, mx], axis=-3)
+    # (..., 1, H, W) and (..., H, W, 1) hold the same bytes, so the
+    # channels-last conv needs reshapes only, no copies
+    lead, (h, w) = f.shape[:-3], f.shape[-2:]
+    pools = [tc.reshape(tc.channel_pool(f, mode), (*lead, h, w, 1)) for mode in ("avg", "max")]
+    desc = tc.concat(pools, axis=-1)
     conv = tc.conv2d(desc, params.conv_kernel, params.conv_bias, padding=PADDING)
-    return tc.sigmoid(conv)
+    return tc.sigmoid(tc.reshape(conv, (*lead, 1, h, w)))
 
 
 def sam_residual(f: Tensor, params: SamParams) -> Tensor:

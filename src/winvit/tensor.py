@@ -420,7 +420,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product: ``(..., m, k) @ (..., k, n)``.
 
     Leading axes broadcast; gradients are reduced back to each operand's
-    shape. Counts ``2 * m * k * n`` FLOPs per matrix pair.
+    shape. A 2-D ``b`` shared by a batched ``a`` gets its gradient from one
+    GEMM over all rows. Counts ``2 * m * k * n`` FLOPs per matrix pair.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
@@ -435,7 +436,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             ga = np.matmul(g, bd.swapaxes(-1, -2))
-            gb = np.matmul(ad.swapaxes(-1, -2), g)
+            if bd.ndim == 2:
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.matmul(ad.swapaxes(-1, -2), g)
             return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
         return bwd
@@ -727,140 +731,142 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # spatial ops
 
 
-def _unroll(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
-    """Gather every kernel tap of ``x[..., H, W]`` as one contiguous run.
+def _tap_view(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
+    """Every kernel tap of a channels-last batch ``x[N, H, W, C]`` as a
+    read-only view, without copying a tap.
 
-    Leading axes (channels, or batch and channels) are folded into one.
-    Each ``H x W`` plane is zero-padded once into a row-major buffer of row
-    width ``W + 2*pad_x`` plus one spare row. Tap ``(dy, dx)`` of every
-    output position is then the run of ``ho * row`` elements starting at
-    ``dy * row + dx`` (unrolled convolution, Chellapilla et al. 2006).
-    Returns the columns ``[..., kh*kw, ho*row]`` and ``(ho, wo, row)``; the
-    last ``row - wo`` entries of each output row wrap around and are
-    cropped by the caller.
+    The batch is zero-padded once into a row-major buffer of row width
+    ``row = W + 2*pad_x`` plus one spare row. Tap ``(dy, dx)`` of every
+    output position of an image is then the contiguous run of ``ho * row``
+    pixels starting at pixel ``dy * row + dx``. Returns the view
+    ``[N, kh, kw, ho*row, C]`` and ``(ho, wo, row)``; the last
+    ``row - wo`` positions of each output row wrap around and are cropped
+    by the caller.
     """
-    *lead, h, w = x.shape
+    n, h, w, c = x.shape
     row = w + 2 * pad_x
     ho, wo = h + 2 * pad_y - kh + 1, row - kw + 1
-    planes = math.prod(lead)
-    buf = np.zeros((planes, h + 2 * pad_y + 1, row), dtype=x.dtype)
-    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x.reshape(planes, h, w)
-    runs = np.lib.stride_tricks.sliding_window_view(buf.reshape(buf.shape[0], -1), ho * row, axis=1)
-    starts = (np.arange(kh)[:, None] * row + np.arange(kw)).ravel()
-    cols = runs[:, starts].reshape(*lead, kh * kw, ho * row)
-    return cols, (ho, wo, row)
+    buf = np.zeros((n, h + 2 * pad_y + 1, row, c), dtype=x.dtype)
+    buf[:, pad_y : pad_y + h, pad_x : pad_x + w] = x
+    # The last run of the last tap ends kw - 1 pixels into the spare row.
+    if (kh - 1 + ho) * row + kw - 1 > buf.shape[1] * row:
+        raise ShapeError(f"kernel {kh}x{kw} overruns a padded row of {row}")
+    img, line, pixel, chan = buf.strides
+    taps = np.lib.stride_tricks.as_strided(
+        buf, (n, kh, kw, ho * row, c), (img, line, pixel, pixel, chan), writeable=False
+    )
+    return taps, (ho, wo, row)
 
 
-def _correlate(x: np.ndarray, kd: np.ndarray, pad_y: int, pad_x: int) -> np.ndarray:
-    """Zero-padded cross-correlation of a batch ``x[B,C,H,W]`` with a dense
-    ``kd[O,C,kh,kw]`` or a depthwise ``kd[C,kh,kw]`` kernel, no bias;
-    returns ``[B,O,ho,wo]``."""
-    kh, kw = kd.shape[-2:]
-    cols, (ho, wo, row) = _unroll(x, kh, kw, pad_y, pad_x)
-    taps = kd.reshape(kd.shape[0], -1)
-    if kd.ndim == 4:
-        out = np.matmul(taps, cols.reshape(x.shape[0], taps.shape[1], ho * row))
+def _slide(x: np.ndarray, k: np.ndarray, pad_y: int, pad_x: int) -> np.ndarray:
+    """Zero-padded cross-correlation of ``x[N, H, W, C]`` with a tap-major
+    kernel, no bias: depthwise ``k[kh, kw, C]`` or dense
+    ``k[kh, kw, Cin, Cout]``. Returns ``[N, ho, wo, Cout]``, a view."""
+    kh, kw = k.shape[:2]
+    taps, (ho, wo, row) = _tap_view(x, kh, kw, pad_y, pad_x)
+    if k.ndim == 4:
+        out = np.tensordot(taps, k, axes=([1, 2, 4], [0, 1, 2]))
     else:
-        out = np.einsum("ct,bctn->bcn", taps, cols)
-    return out.reshape(x.shape[0], kd.shape[0], ho, row)[..., :wo]
+        out = np.einsum("byxnc,yxc->bnc", taps, k)
+    return out.reshape(x.shape[0], ho, row, k.shape[-1])[:, :, :wo]
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
     """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
     shapes are validated; the kernel's rank selects dense or depthwise.
-    A (C, H, W) input runs as a batch of one."""
+    A (H, W, C) input runs as a batch of one."""
     kd = kernel.data
+    dense = kd.ndim == 4
+    # OIHW -> (kh, kw, Cin, Cout) and CHW -> (kh, kw, C)
+    k = np.ascontiguousarray(kd.transpose((2, 3, 1, 0) if dense else (1, 2, 0)))
     lead = x.shape[:-3]
     xb = x.data.reshape(math.prod(lead), *x.shape[-3:])
-    out = _correlate(xb, kd, padding, padding) + bias.data[:, None, None]
+    out = _slide(xb, k, padding, padding) + bias.data
     _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
     _count("elementwise", out.size)
 
     def build():
         kh, kw = kd.shape[-2:]
-        h, w = xb.shape[-2:]
+        h, w = xb.shape[1:3]
         batched = out.shape
 
         def bwd(g):
             g = g.reshape(batched)
             # The input gradient is the correlation of g with the flipped
             # kernel. Padding g by k-1-padding yields exactly the unpadded
-            # input; a padding above k-1 leaves a border to crop. It goes
-            # first so its columns are freed before the kernel gradient
-            # gathers x's.
-            if kd.ndim == 4:
-                flipped = kd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            else:
-                flipped = kd[:, ::-1, ::-1]
+            # input; a padding above k-1 leaves a border to crop.
+            flipped = k[::-1, ::-1].swapaxes(2, 3) if dense else k[::-1, ::-1]
             qy, qx = kh - 1 - padding, kw - 1 - padding
-            gx = _correlate(g, flipped, max(qy, 0), max(qx, 0))
+            gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
             cy, cx = max(-qy, 0), max(-qx, 0)
-            gx = np.ascontiguousarray(gx[:, :, cy : cy + h, cx : cx + w]).reshape(x.shape)
-            cols, (ho, wo, row) = _unroll(xb, kh, kw, padding, padding)
-            grow = np.zeros((*g.shape[:2], ho, row), dtype=g.dtype)
-            grow[..., :wo] = g
-            grow = grow.reshape(*g.shape[:2], -1)
-            if kd.ndim == 4:
-                gk = np.tensordot(grow, cols.reshape(g.shape[0], -1, ho * row), axes=([0, 2], [0, 2]))
+            gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w]).reshape(x.shape)
+            taps, (ho, wo, row) = _tap_view(xb, kh, kw, padding, padding)
+            grow = np.zeros((g.shape[0], ho, row, g.shape[-1]), dtype=g.dtype)
+            grow[:, :, :wo] = g
+            grow = grow.reshape(g.shape[0], ho * row, g.shape[-1])
+            if dense:
+                gk = np.tensordot(grow, taps, axes=([0, 1], [0, 3])).transpose(0, 3, 1, 2)
             else:
-                gk = np.einsum("bcn,bctn->ct", grow, cols)
-            return gx, gk.reshape(kd.shape), g.sum(axis=(0, 2, 3))
+                gk = np.einsum("bnc,byxnc->cyx", grow, taps)
+            return gx, np.ascontiguousarray(gk), g.reshape(-1, g.shape[-1]).sum(axis=0)
 
         return bwd
 
     return _emit(out.reshape(*lead, *out.shape[1:]), (x, kernel, bias), build, op_name)
 
 
-def _conv_input(x: Tensor, name: str) -> None:
+def _conv_input(x: Tensor, name: str, layout: str) -> None:
     if x.ndim not in (3, 4):
-        raise ShapeError(f"{name} expects (C, H, W) or (B, C, H, W) input, got {x.shape}")
+        raise ShapeError(f"{name} expects ({layout}) or (B, {layout}) input, got {x.shape}")
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
-    """Cross-correlation of ``x[Cin,H,W]`` or a batch ``x[B,Cin,H,W]`` with
-    ``kernel[Cout,Cin,kh,kw]``; returns ``[Cout,ho,wo]`` or ``[B,Cout,ho,wo]``.
+    """Cross-correlation of a channels-last ``x[H,W,Cin]`` or a batch
+    ``x[B,H,W,Cin]`` with ``kernel[Cout,Cin,kh,kw]``; returns
+    ``[ho,wo,Cout]`` or ``[B,ho,wo,Cout]``.
 
     Zero padding, odd kernel sides; ``padding=(k-1)//2`` preserves H and W.
-    Evaluated as unrolled convolution: one gather of all kernel taps of all
-    images and one contraction over input channels and taps (:func:`_unroll`).
+    One contraction over taps and input channels of the tap view
+    (:func:`_tap_view`).
     """
-    _conv_input(x, "conv2d")
+    _conv_input(x, "conv2d", "H, W, Cin")
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d expects an OIHW kernel, got {kernel.shape}")
     cout, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[-3] != cin:
+    if x.shape[-1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
     if padding < 0:
         raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
-    h, w = x.shape[-2:]
+    h, w = x.shape[-3:-1]
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kernel.shape}")
     return _conv(x, kernel, bias, padding, "conv2d")
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
-    """Per-channel cross-correlation of ``x[C,H,W]`` or a batch
-    ``x[B,C,H,W]``: ``kernel[C,kh,kw]`` filters channel c only.
+    """Per-channel cross-correlation of a channels-last ``x[H,W,C]`` or a
+    batch ``x[B,H,W,C]``: ``kernel[C,kh,kw]`` filters channel c only.
+    Returns ``[ho,wo,C]`` or ``[B,ho,wo,C]``.
 
-    Same unrolled evaluation as :func:`conv2d`, contracting over taps only.
+    Same tap view as :func:`conv2d`, one multiply-add per tap.
     """
-    _conv_input(x, "depthwise conv")
+    _conv_input(x, "depthwise conv", "H, W, C")
     if kernel.ndim != 3:
         raise ShapeError(f"depthwise conv expects a CHW kernel, got {kernel.shape}")
     c, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"depthwise kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[-3] != c:
+    if x.shape[-1] != c:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if bias.shape != (c,):
         raise ShapeError(f"depthwise bias must be ({c},), got {bias.shape}")
     if padding < 0:
         raise ShapeError(f"depthwise padding must be >= 0, got {padding}")
-    h, w = x.shape[-2:]
+    h, w = x.shape[-3:-1]
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"depthwise output would be empty for input {x.shape}")
     return _conv(x, kernel, bias, padding, "depthwise_conv2d")
@@ -869,7 +875,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> T
 def channel_pool(x: Tensor, mode: str) -> Tensor:
     """Reduce ``x[C,H,W]`` or ``x[B,C,H,W]`` across channels (axis -3)
     only, to ``[1,H,W]`` or ``[B,1,H,W]``."""
-    _conv_input(x, "channel_pool")
+    _conv_input(x, "channel_pool", "C, H, W")
     if mode not in ("avg", "max"):
         raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
     _count("elementwise", x.size)

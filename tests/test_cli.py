@@ -113,6 +113,13 @@ class TestDescribe:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         assert main(["describe", "--set", "windows=3", "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=2\n# caf\xff\n")
+        assert main(["describe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg) in err
+
 
 # ---------------------------------------------------------------------------
 # check
@@ -189,6 +196,17 @@ class TestTrainEval:
 
     def test_eval_without_checkpoint_flag_exits_2(self, capsys):
         assert main(["eval", *TINY]) == 2
+
+    def test_train_non_utf8_manifest_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "data.csv"
+        manifest.write_bytes(b"filepath,label,split\n\xff.ppm,0,train\n")
+        code = main([
+            "train", *TINY, "--set", "dataset=manifest",
+            "--set", f"manifest_path={manifest}", "--out", str(tmp_path / "m"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "row 2" in err and str(manifest) in err
 
     def test_train_divergent_lr_exits_1(self, tmp_path, capsys, monkeypatch):
         import winvit.train as train_mod

@@ -317,6 +317,14 @@ class TestManifest:
         with pytest.raises(DataError, match="row 1"):
             load_manifest(manifest, image_size=8)
 
+    def test_non_utf8_row_is_data_error(self, tmp_path):
+        make_ppm(tmp_path / "ok.ppm")
+        manifest = tmp_path / "data.csv"
+        manifest.write_bytes(b"ok.ppm,0,train\nok.ppm,1,v\xe9l\n")
+        with pytest.raises(DataError, match="row 2") as exc:
+            load_manifest(manifest, image_size=8)
+        assert str(manifest) in str(exc.value)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_manifest(tmp_path / "absent.csv", image_size=8)

@@ -250,8 +250,8 @@ class TestForward:
         normed = tc.layernorm_lastdim(tokens, blk.ln2_gamma, blk.ln2_beta)
         hidden = tc.gelu(tc.add(tc.matmul(normed, blk.fc1_weight), blk.fc1_bias))
         rc = hidden.shape[-1]
-        grid = tc.transpose(tc.reshape(hidden, (g, g, rc)), (2, 0, 1))
-        grid = tc.depthwise_conv2d(grid, blk.dw_kernel, blk.dw_bias, padding=1)
+        grid = tc.depthwise_conv2d(tc.reshape(hidden, (g, g, rc)), blk.dw_kernel, blk.dw_bias, padding=1)
+        grid = tc.transpose(grid, (2, 0, 1))
         gate = sam_map(grid, blk.sam)
         grid = tc.add(grid, tc.mul(grid, gate))
         hidden = tc.reshape(tc.transpose(grid, (1, 2, 0)), (l, rc))

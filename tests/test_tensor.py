@@ -10,6 +10,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,23 @@ CONV_CASES = [
     ((4, 6), (3, 5), 2),
     ((5, 7), (3, 5), 0),
 ]
+
+
+def _chw(op):
+    """The channels-last conv ``op`` on channels-first operands: the input
+    goes through CHW -> HWC and the output through HWC -> CHW, so the
+    oracles above and their cases apply unchanged."""
+
+    def run(x, kernel, bias, padding):
+        k = x.ndim - 3
+        hwc = tc.transpose(x, (*range(k), k + 1, k + 2, k))
+        return tc.transpose(op(hwc, kernel, bias, padding), (*range(k), k + 2, k, k + 1))
+
+    return run
+
+
+conv2d_chw = _chw(tc.conv2d)
+depthwise_chw = _chw(tc.depthwise_conv2d)
 
 
 def channel_pool_oracle(x: np.ndarray, mode: str) -> np.ndarray:
@@ -196,7 +214,7 @@ class TestForwardOracles:
             x = rng.normal(size=(2, h, w))
             k = rng.normal(size=(3, 2, kh, kw))
             b = rng.normal(size=(3,))
-            got = tc.conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
+            got = conv2d_chw(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
             np.testing.assert_allclose(got, conv2d_oracle(x, k, b, pad), rtol=1e-6, atol=1e-6)
 
     def test_conv2d_7x7_matches_oracle(self):
@@ -204,7 +222,7 @@ class TestForwardOracles:
         x = rng.normal(size=(2, 8, 8))
         k = rng.normal(size=(1, 2, 7, 7))
         b = rng.normal(size=(1,))
-        got = tc.conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), 3).data
+        got = conv2d_chw(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), 3).data
         assert got.shape == (1, 8, 8)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, conv2d_oracle(x, k, b, 3), rtol=1e-12, atol=1e-12)
@@ -215,7 +233,7 @@ class TestForwardOracles:
             x = rng.normal(size=(4, h, w))
             k = rng.normal(size=(4, kh, kw))
             b = rng.normal(size=(4,))
-            got = tc.depthwise_conv2d(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
+            got = depthwise_chw(tc.Tensor(x), tc.Tensor(k), tc.Tensor(b), pad).data
             np.testing.assert_allclose(got, depthwise_oracle(x, k, b, pad), rtol=1e-6, atol=1e-6)
 
     def test_channel_pool_matches_loop(self):
@@ -455,6 +473,8 @@ class TestGradients:
 
     def test_batched_matmul_grads(self):
         _fd_single(tc.matmul, [(2, 3, 4), (2, 4, 2)], seed=34)
+        # a 2-D right operand shared by every matrix of a batched left one
+        _fd_single(tc.matmul, [(2, 2, 3, 4), (4, 2)], seed=350)
 
     def test_reshape_transpose_grads(self):
         _fd_single(
@@ -501,24 +521,25 @@ class TestGradients:
     def test_conv_grads(self):
         for i, ((h, w), (kh, kw), pad) in enumerate(CONV_CASES):
             _fd_single(
-                lambda x, k, b: tc.conv2d(x, k, b, pad),
+                lambda x, k, b: conv2d_chw(x, k, b, pad),
                 [(2, h, w), (2, 2, kh, kw), (2,)],
                 seed=460 + i,
             )
             _fd_single(
-                lambda x, k, b: tc.depthwise_conv2d(x, k, b, pad),
+                lambda x, k, b: depthwise_chw(x, k, b, pad),
                 [(3, h, w), (3, kh, kw), (3,)],
                 seed=470 + i,
             )
         # the spatial gate's shape: [avg; max] pool, one 7x7 filter
-        _fd_single(lambda x, k, b: tc.conv2d(x, k, b, 3), [(2, 8, 8), (1, 2, 7, 7), (1,)], seed=46)
+        _fd_single(lambda x, k, b: conv2d_chw(x, k, b, 3), [(2, 8, 8), (1, 2, 7, 7), (1,)], seed=46)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_keeps_dtype_and_contiguous_grads(self, dtype):
         rng = np.random.default_rng(47)
+        # channels-last inputs, so the input gradient is the conv's own
         cases = [
-            (tc.conv2d, (2, 5, 7), (3, 2, 3, 5), 2),
-            (tc.depthwise_conv2d, (3, 5, 7), (3, 3, 5), 3),
+            (tc.conv2d, (5, 7, 2), (3, 2, 3, 5), 2),
+            (tc.depthwise_conv2d, (5, 7, 3), (3, 3, 5), 3),
         ]
         for op, x_shape, k_shape, pad in cases:
             x = tc.Tensor(rng.normal(size=x_shape).astype(dtype))
@@ -666,7 +687,7 @@ class TestFlopCounter:
         k = tc.ones((3, 2, 3, 3))
         b = tc.zeros((3,))
         with tc.FlopCounter() as fc:
-            tc.conv2d(x, k, b, 1)
+            conv2d_chw(x, k, b, 1)
         assert fc.mac_flops == 2 * 3 * 5 * 5 * 2 * 3 * 3
 
 
@@ -703,8 +724,8 @@ class TestBatchAxis:
         rng = np.random.default_rng(480)
         for i, ((h, w), (kh, kw), pad) in enumerate(CONV_CASES):
             cases = [
-                (tc.conv2d, (3, 2, kh, kw)),
-                (tc.depthwise_conv2d, (2, kh, kw)),
+                (conv2d_chw, (3, 2, kh, kw)),
+                (depthwise_chw, (2, kh, kw)),
             ]
             for op, k_shape in cases:
                 x = rng.normal(size=(3, 2, h, w))
@@ -728,9 +749,10 @@ class TestBatchAxis:
     def test_conv_of_empty_plane_is_bias_only(self):
         # Tensor() rejects an empty axis, but an array assigned to .data is
         # not checked; padding then leaves a non-empty output of pure bias.
+        # The shapes are channels-last: a transpose op rejects an empty axis.
         cases = [(tc.conv2d, (2, 3, 3, 3)), (tc.depthwise_conv2d, (3, 3, 3))]
         for op, k_shape in cases:
-            for shape in ((3, 0, 5), (3, 5, 0), (2, 3, 0, 5)):
+            for shape in ((0, 5, 3), (5, 0, 3), (2, 0, 5, 3)):
                 x = tc.ones((1,) * len(shape))
                 x.data = np.zeros(shape)
                 kernel = tc.ones(k_shape, np.float64)
@@ -738,12 +760,28 @@ class TestBatchAxis:
                 with tc.Tape() as tape:
                     y = op(x, kernel, bias, 2)
                     loss = tc.reduce_sum(tc.mul(y, y))
-                want = np.broadcast_to(bias.data[:, None, None], y.shape[-3:])
-                np.testing.assert_array_equal(y.data, np.broadcast_to(want, y.shape))
+                np.testing.assert_array_equal(y.data, np.broadcast_to(bias.data, y.shape))
                 grads = tc.backward(loss, tape)
                 assert grads[x].shape == shape
                 np.testing.assert_array_equal(grads[kernel], np.zeros(k_shape))
-                np.testing.assert_array_equal(grads[bias], 2 * y.data.sum(axis=(*range(y.ndim - 3), -2, -1)))
+                np.testing.assert_array_equal(grads[bias], 2 * y.data.sum(axis=tuple(range(y.ndim - 1))))
+
+    def test_desk_depthwise_does_not_copy_every_tap(self):
+        # A copy of all 9 taps alone would be 9x the input; the tap view
+        # keeps a desk-shaped forward plus backward near 6x.
+        rng = np.random.default_rng(483)
+        x = tc.Tensor(rng.normal(size=(8, 8, 8, 256)).astype(np.float32))
+        kernel = tc.Tensor(rng.normal(size=(256, 3, 3)).astype(np.float32))
+        bias = tc.zeros((256,))
+        tracemalloc.start()
+        try:
+            with tc.Tape() as tape:
+                y = tc.depthwise_conv2d(x, kernel, bias, 1)
+                tc.backward(tc.reduce_sum(y), tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
     def test_rank_outside_3_or_4_rejected(self):
         for shape in ((5, 5), (1, 1, 2, 5, 5)):
