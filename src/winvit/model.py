@@ -9,7 +9,9 @@ tokens followed by one linear layer.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -356,15 +358,30 @@ def _sections(model: Model):
 
 
 def save_checkpoint(model: Model, path) -> None:
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_config(f, model.config)
-        for tag, tensors in _sections(model):
-            f.write(tag.encode("ascii"))
-            f.write(struct.pack("<I", len(tensors)))
-            for t in tensors:
-                tc.write_tensor(t, f)
+    """Write ``model`` to a temporary file beside ``path``, fsync it and
+    rename it over ``path``. On failure a file already at ``path`` is left
+    intact; OS errors raise :class:`CheckpointError`."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            _write_config(f, model.config)
+            for tag, tensors in _sections(model):
+                f.write(tag.encode("ascii"))
+                f.write(struct.pack("<I", len(tensors)))
+                for t in tensors:
+                    tc.write_tensor(t, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+    finally:
+        # gone after a successful replace; a leftover after any failure
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def load_checkpoint(path, config: ModelConfig | None = None) -> Model:

@@ -8,8 +8,9 @@ ever updated in place, and only by the optimizer.
 
 Recording is contextual: entering a :class:`Tape` makes subsequent ops
 append nodes to it, entering a :class:`FlopCounter` makes them tally their
-cost. Both stacks are thread-local so read-only inference can fan out
-across threads without sharing trainer state.
+cost. Both stacks are plain module lists, so recording is per process: a
+tape or counter entered in one thread also records the ops of every other
+thread, and nothing here is meant to run from several threads at once.
 
 FLOP convention (documented once, used everywhere): matrix products and
 convolutions count 2 FLOPs per multiply-accumulate under the ``mac``
@@ -23,42 +24,23 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ContractError,
-    NumericsError,
-    ShapeError,
-)
+from .errors import ConfigError, ContractError, NumericsError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 TENSOR_MAGIC = b"WMHT"
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-_state = threading.local()
-
-
-def _tapes() -> list:
-    tapes = getattr(_state, "tapes", None)
-    if tapes is None:
-        tapes = []
-        _state.tapes = tapes
-    return tapes
-
-
-def _counters() -> list:
-    counters = getattr(_state, "counters", None)
-    if counters is None:
-        counters = []
-        _state.counters = counters
-    return counters
+# the active tapes and counters, innermost last
+_TAPES: list = []
+_COUNTERS: list = []
 
 
 _debug_checks = False
@@ -81,6 +63,18 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, values, dtype=None):
+        # Op results are already valid: a C-contiguous float32/float64
+        # ndarray with no zero-length axis (size 0 iff an axis is 0) is
+        # kept as is. Everything else is converted and checked below.
+        if (
+            dtype is None
+            and type(values) is np.ndarray
+            and ((dt := values.dtype) is _F32 or dt is _F64)
+            and values.size
+            and values.flags.c_contiguous
+        ):
+            self.data = values
+            return
         arr = np.asarray(values)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -158,11 +152,11 @@ class Tape:
         self.nodes: list[TapeNode] = []
 
     def __enter__(self):
-        _tapes().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _tapes().pop()
+        popped = _TAPES.pop()
         assert popped is self
         return False
 
@@ -179,11 +173,11 @@ class FlopCounter:
         self._labels: list[str] = []
 
     def __enter__(self):
-        _counters().append(self)
+        _COUNTERS.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _counters().pop()
+        popped = _COUNTERS.pop()
         assert popped is self
         return False
 
@@ -225,15 +219,16 @@ class FlopCounter:
 
 
 def _count(category: str, flops: int) -> None:
-    for counter in _counters():
-        counter.add(category, flops)
+    if _COUNTERS:
+        for counter in _COUNTERS:
+            counter.add(category, flops)
 
 
 @contextmanager
 def flop_scope(label: str):
     """Label ops on every active counter; lets library code tag phases
     (e.g. attention scores) without holding a counter reference."""
-    counters = list(_counters())
+    counters = list(_COUNTERS)
     for c in counters:
         c._labels.append(label)
     try:
@@ -252,10 +247,8 @@ def _emit(data, inputs, backward_builder, op_name: str) -> Tensor:
     if _debug_checks and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by {op_name}")
     out = Tensor(data)
-    tapes = _tapes()
-    if tapes:
-        node = TapeNode(out, inputs, backward_builder())
-        tapes[-1].nodes.append(node)
+    if _TAPES:
+        _TAPES[-1].nodes.append(TapeNode(out, inputs, backward_builder()))
     return out
 
 
@@ -363,16 +356,17 @@ def _as_scalar_operand(a: Tensor, other):
 
 
 def add(a: Tensor, b) -> Tensor:
+    ad = a.data
     if not isinstance(b, Tensor):
-        c = _as_scalar_operand(a, b)
-        data = a.data + c
+        data = ad + _as_scalar_operand(a, b)
         _count("elementwise", data.size)
         return _emit(data, (a,), lambda: lambda g: (g,), "add")
-    data = a.data + b.data
+    bd = b.data
+    data = ad + bd
     _count("elementwise", data.size)
 
     def build():
-        a_shape, b_shape = a.shape, b.shape
+        a_shape, b_shape = ad.shape, bd.shape
         return lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return _emit(data, (a, b), build, "add")
@@ -423,21 +417,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shape. A 2-D ``b`` shared by a batched ``a`` gets its gradient from one
     GEMM over all rows. Counts ``2 * m * k * n`` FLOPs per matrix pair.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
-    _count("mac", 2 * data.size * a.shape[-1])
+    ad, bd = a.data, b.data
+    a_shape, b_shape = ad.shape, bd.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeError(f"matmul needs rank >= 2 operands, got {a_shape} @ {b_shape}")
+    k = a_shape[-1]
+    if k != b_shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a_shape} @ {b_shape}")
+    data = np.matmul(ad, bd)
+    _count("mac", 2 * data.size * k)
 
     def build():
-        ad, bd = a.data, b.data
-        a_shape, b_shape = a.shape, b.shape
-
         def bwd(g):
             ga = np.matmul(g, bd.swapaxes(-1, -2))
-            if bd.ndim == 2:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            if len(b_shape) == 2:
+                gb = ad.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = np.matmul(ad.swapaxes(-1, -2), g)
             return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
@@ -516,8 +510,13 @@ def take_lastdim(table: Tensor, index: np.ndarray) -> Tensor:
     return _emit(data, (table,), build, "take_lastdim")
 
 
-def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axes, keepdims=keepdims)
+def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
+    """Sum over ``axes`` (all when None), divided by the count of summed
+    elements when ``mean``: the ufuncs ``np.mean`` runs, without its
+    Python-level wrapper."""
+    total = a.data.sum(axis=axes, keepdims=keepdims)
+    count = a.size // total.size
+    data = total / count if mean else total
     _count("elementwise", a.size)
 
     def build():
@@ -529,34 +528,21 @@ def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
         def bwd(g):
             if not keepdims:
                 g = np.expand_dims(g, ax)
+            if mean:
+                g = g / count
             return (np.broadcast_to(g, a_shape).astype(g.dtype, copy=True),)
 
         return bwd
 
-    return _emit(data, (a,), build, "reduce_sum")
+    return _emit(data, (a,), build, "reduce_mean" if mean else "reduce_sum")
+
+
+def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
+    return _reduce(a, axes, keepdims, mean=False)
 
 
 def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    _count("elementwise", a.size)
-
-    def build():
-        a_shape = a.shape
-        ax = tuple(range(len(a_shape))) if axes is None else (
-            axes if isinstance(axes, tuple) else (axes,)
-        )
-        count = 1
-        for i in ax:
-            count *= a_shape[i]
-
-        def bwd(g):
-            if not keepdims:
-                g = np.expand_dims(g, ax)
-            return (np.broadcast_to(g / count, a_shape).astype(g.dtype, copy=True),)
-
-        return bwd
-
-    return _emit(data, (a,), build, "reduce_mean")
+    return _reduce(a, axes, keepdims, mean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +668,17 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
         raise ShapeError(
             f"layernorm affine params must be ({x.shape[-1]},), got {gamma.shape} and {beta.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # Centre once; the same ufunc sequence as np.mean and np.var.
+    xd = x.data
+    n = xd.shape[-1]
+    d = xd - xd.sum(axis=-1, keepdims=True) / n
+    var = (d * d).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
     out = xhat * gamma.data + beta.data
-    _count("elementwise", x.size)
+    _count("elementwise", xd.size)
 
     def build():
-        n = x.shape[-1]
         gdat = gamma.data
 
         def bwd(g):
@@ -775,12 +763,13 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -
     """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
     shapes are validated; the kernel's rank selects dense or depthwise.
     A (H, W, C) input runs as a batch of one."""
-    kd = kernel.data
+    kd, xd = kernel.data, x.data
     dense = kd.ndim == 4
     # OIHW -> (kh, kw, Cin, Cout) and CHW -> (kh, kw, C)
     k = np.ascontiguousarray(kd.transpose((2, 3, 1, 0) if dense else (1, 2, 0)))
-    lead = x.shape[:-3]
-    xb = x.data.reshape(math.prod(lead), *x.shape[-3:])
+    x_shape = xd.shape
+    lead = x_shape[:-3]
+    xb = xd.reshape(math.prod(lead), *x_shape[-3:])
     out = _slide(xb, k, padding, padding) + bias.data
     _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
     _count("elementwise", out.size)
@@ -799,7 +788,7 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -
             qy, qx = kh - 1 - padding, kw - 1 - padding
             gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
             cy, cx = max(-qy, 0), max(-qx, 0)
-            gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w]).reshape(x.shape)
+            gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w]).reshape(x_shape)
             taps, (ho, wo, row) = _tap_view(xb, kh, kw, padding, padding)
             grow = np.zeros((g.shape[0], ho, row, g.shape[-1]), dtype=g.dtype)
             grow[:, :, :wo] = g
@@ -820,6 +809,27 @@ def _conv_input(x: Tensor, name: str, layout: str) -> None:
         raise ShapeError(f"{name} expects ({layout}) or (B, {layout}) input, got {x.shape}")
 
 
+def _check_conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, dense: bool) -> None:
+    """The shape checks of :func:`conv2d` (``dense``) and
+    :func:`depthwise_conv2d`; the kernel's channel axis is -3 in both."""
+    name = "conv2d" if dense else "depthwise conv"
+    _conv_input(x, name, "H, W, Cin" if dense else "H, W, C")
+    xs, ks = x.shape, kernel.shape
+    if len(ks) != (4 if dense else 3):
+        raise ShapeError(f"{name} expects {'an OIHW' if dense else 'a CHW'} kernel, got {ks}")
+    kh, kw = ks[-2:]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"{name} kernel sides must be odd, got {kh}x{kw}")
+    if xs[-1] != ks[-3]:
+        raise ShapeError(f"{name} channel mismatch: input {xs} vs kernel {ks}")
+    if bias.shape != ks[:1]:
+        raise ShapeError(f"{name} bias must be ({ks[0]},), got {bias.shape}")
+    if padding < 0:
+        raise ShapeError(f"{name} padding must be >= 0, got {padding}")
+    if xs[-3] + 2 * padding < kh or xs[-2] + 2 * padding < kw:
+        raise ShapeError(f"{name} output would be empty for input {xs}, kernel {ks}")
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Cross-correlation of a channels-last ``x[H,W,Cin]`` or a batch
     ``x[B,H,W,Cin]`` with ``kernel[Cout,Cin,kh,kw]``; returns
@@ -829,21 +839,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     One contraction over taps and input channels of the tap view
     (:func:`_tap_view`).
     """
-    _conv_input(x, "conv2d", "H, W, Cin")
-    if kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects an OIHW kernel, got {kernel.shape}")
-    cout, cin, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[-1] != cin:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if bias.shape != (cout,):
-        raise ShapeError(f"conv2d bias must be ({cout},), got {bias.shape}")
-    if padding < 0:
-        raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
-    h, w = x.shape[-3:-1]
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {kernel.shape}")
+    _check_conv(x, kernel, bias, padding, dense=True)
     return _conv(x, kernel, bias, padding, "conv2d")
 
 
@@ -854,21 +850,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> T
 
     Same tap view as :func:`conv2d`, one multiply-add per tap.
     """
-    _conv_input(x, "depthwise conv", "H, W, C")
-    if kernel.ndim != 3:
-        raise ShapeError(f"depthwise conv expects a CHW kernel, got {kernel.shape}")
-    c, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"depthwise kernel sides must be odd, got {kh}x{kw}")
-    if x.shape[-1] != c:
-        raise ShapeError(f"depthwise channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if bias.shape != (c,):
-        raise ShapeError(f"depthwise bias must be ({c},), got {bias.shape}")
-    if padding < 0:
-        raise ShapeError(f"depthwise padding must be >= 0, got {padding}")
-    h, w = x.shape[-3:-1]
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"depthwise output would be empty for input {x.shape}")
+    _check_conv(x, kernel, bias, padding, dense=False)
     return _conv(x, kernel, bias, padding, "depthwise_conv2d")
 
 
@@ -880,10 +862,10 @@ def channel_pool(x: Tensor, mode: str) -> Tensor:
         raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
     _count("elementwise", x.size)
     if mode == "avg":
-        data = x.data.mean(axis=-3, keepdims=True)
+        c = x.shape[-3]
+        data = x.data.sum(axis=-3, keepdims=True) / c
 
         def build():
-            c = x.shape[-3]
             return lambda g: (np.broadcast_to(g / c, x.shape).astype(g.dtype, copy=True),)
 
         return _emit(data, (x,), build, "channel_pool_avg")

@@ -208,6 +208,19 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "error:" in err and "row 2" in err and str(manifest) in err
 
+    def test_train_checkpoint_write_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        import winvit.tensor as tensor_mod
+
+        def full_disk(t, f):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tensor_mod, "write_tensor", full_disk)
+        out = tmp_path / "run"
+        code = main(["train", *TINY, "--set", "epochs=1", "--out", str(out)])
+        assert code == 3
+        assert "checkpoint error" in capsys.readouterr().err
+        assert not any(p.suffix in (".wmh", ".tmp") for p in out.iterdir())
+
     def test_train_divergent_lr_exits_1(self, tmp_path, capsys, monkeypatch):
         import winvit.train as train_mod
 

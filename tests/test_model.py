@@ -344,6 +344,35 @@ class TestBatchedForward:
         for name, t in m.named_params():
             assert t in grads, name
 
+    def _assert_tape_outputs(self, tape, loss, model, dtype):
+        assert loss.shape == ()
+        for i, node in enumerate(tape.nodes):
+            data = node.output.data
+            assert type(data) is np.ndarray and data.flags.c_contiguous, i
+            assert data.dtype == dtype and data.size, i
+        grads = tc.backward(loss, tape)
+        for name, t in model.named_params():
+            assert grads[t].dtype == dtype, name
+
+    def test_desk_float32_tape_outputs_are_contiguous_arrays(self):
+        m = Model(ModelConfig())
+        images = np.random.default_rng(162).normal(size=(2, 3, 64, 64)).astype(np.float32)
+        with tc.Tape() as tape:
+            logits = classify(tc.Tensor(images), m, training=True, rng=np.random.default_rng(0))
+            loss = tc.cross_entropy_logits(logits, np.array([0, 2]))
+        self._assert_tape_outputs(tape, loss, m, np.float32)
+
+    def test_check_suite_float64_tape_outputs_are_contiguous_arrays(self):
+        # the model and loss of checks.suite_gradients
+        cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, depth=1, heads=2,
+                          window=2, num_classes=3, seed=7)
+        m = randomize(Model(cfg), seed=163).to_dtype(np.float64)
+        image = tc.Tensor(np.random.default_rng(164).uniform(0, 1, (3, 16, 16)), dtype=np.float64)
+        with tc.Tape() as tape:
+            logits = classify(image, m, training=False)
+            loss = tc.cross_entropy_logits(tc.reshape(logits, (1, 3)), np.array([1]))
+        self._assert_tape_outputs(tape, loss, m, np.float64)
+
     def test_batch_capture_shapes(self):
         m, images = _f64_batch(2, seed=156)
         capture = []
@@ -476,3 +505,40 @@ class TestCheckpoints:
         assert raw[:5] == b"WMHV1"
         (version,) = struct.unpack("<I", raw[5:9])
         assert version == 1
+
+    def test_failed_save_leaves_existing_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.wmh"
+        save_checkpoint(randomize(Model(small_config()), seed=156), path)
+        before = path.read_bytes()
+        real_write = tc.write_tensor
+        written = []
+
+        def failing_write(t, f):
+            # the fourth tensor fails after half its bytes are out
+            if len(written) == 3:
+                f.write(b"\x00" * 7)
+                raise OSError(28, "No space left on device")
+            written.append(t)
+            real_write(t, f)
+
+        monkeypatch.setattr(tc, "write_tensor", failing_write)
+        with pytest.raises(CheckpointError) as exc:
+            save_checkpoint(randomize(Model(small_config()), seed=157), path)
+        assert "No space left" in str(exc.value)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.wmh"]
+
+    def test_save_into_missing_directory(self, tmp_path):
+        path = tmp_path / "absent" / "model.wmh"
+        with pytest.raises(CheckpointError):
+            save_checkpoint(Model(small_config()), path)
+        assert not path.parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "model.wmh"
+        path.write_bytes(b"stale")
+        m = randomize(Model(small_config()), seed=158)
+        save_checkpoint(m, path)
+        np.testing.assert_array_equal(load_checkpoint(path).head_weight.data, m.head_weight.data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.wmh"]

@@ -791,6 +791,76 @@ class TestBatchAxis:
                 tc.channel_pool(tc.ones(shape), "max")
 
 
+class TestDispatch:
+    """The constructor keeps valid op results as they are and converts or
+    rejects everything else; the reductions without numpy's wrappers still
+    match them bit for bit."""
+
+    def test_valid_array_is_kept_without_copy(self):
+        for dtype in (np.float32, np.float64):
+            arr = np.ones((2, 3), dtype=dtype)
+            assert tc.Tensor(arr).data is arr
+
+    def test_other_inputs_are_converted(self):
+        base = np.arange(12.0).reshape(3, 4)
+        cases = [
+            (base.T, np.float64),  # not C-contiguous
+            (base[:, ::2], np.float64),
+            (np.arange(6).reshape(2, 3), np.float32),  # integer
+            (base.astype(">f8"), np.float32),  # not native byte order
+            ([[1.0, 2.0]], np.float64),
+            (np.float64(2.5), np.float64),
+        ]
+        for values, dtype in cases:
+            t = tc.Tensor(values)
+            assert type(t.data) is np.ndarray
+            assert t.data.flags.c_contiguous and t.dtype.isnative
+            assert t.dtype == dtype
+            np.testing.assert_array_equal(t.data, np.asarray(values))
+        assert tc.Tensor(base, dtype=np.float32).dtype == np.float32
+        assert tc.Tensor(np.float64(2.5)).shape == ()
+
+    def test_empty_axis_rejected_on_every_path(self):
+        for values in (np.zeros((0, 3)), np.zeros((2, 0), np.float32), np.zeros((3, 0)).T, []):
+            with pytest.raises(ShapeError):
+                tc.Tensor(values)
+
+    def test_take_lastdim_with_empty_index_raises(self):
+        table = tc.Tensor(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ShapeError):
+            tc.take_lastdim(table, np.array([], dtype=np.intp))
+
+    def test_full_reductions_are_rank_zero(self):
+        for dtype in (np.float32, np.float64):
+            x = tc.Tensor(np.arange(1.0, 7.0, dtype=dtype).reshape(2, 3))
+            for t in (tc.reduce_sum(x), tc.reduce_mean(x),
+                      tc.cross_entropy_logits(x, np.array([0, 2]))):
+                assert t.shape == () and t.dtype == dtype
+                assert type(t.data) is np.ndarray
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normalizations_bit_equal_numpy_mean_and_var(self, dtype):
+        rng = np.random.default_rng(77)
+        for shape in ((7,), (3, 5), (2, 16, 64), (4, 4, 257)):
+            for scale, shift in ((1e-3, 0.0), (1.0, 3.0), (1e3, -50.0)):
+                x = (rng.normal(size=shape) * scale + shift).astype(dtype)
+                g = rng.normal(size=shape[-1]).astype(dtype)
+                b = rng.normal(size=shape[-1]).astype(dtype)
+                mu = x.mean(axis=-1, keepdims=True)
+                inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+                got = tc.layernorm_lastdim(tc.Tensor(x), tc.Tensor(g), tc.Tensor(b)).data
+                np.testing.assert_array_equal(got, (x - mu) * inv * g + b)
+                for axes in (None, -1, 0, tuple(range(len(shape)))):
+                    for keepdims in (False, True):
+                        got = tc.reduce_mean(tc.Tensor(x), axes=axes, keepdims=keepdims).data
+                        want = x.mean(axis=axes, keepdims=keepdims)
+                        assert got.dtype == want.dtype
+                        np.testing.assert_array_equal(got, want)
+                if len(shape) >= 3:
+                    got = tc.channel_pool(tc.Tensor(x), "avg").data
+                    np.testing.assert_array_equal(got, x.mean(axis=-3, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
