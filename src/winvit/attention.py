@@ -6,6 +6,12 @@ instead of with the full sequence length. A per-head bias table indexed by
 in-window displacement is added to the raw scores. A global (unwindowed)
 multi-head attention over the whole sequence lives alongside it as the
 oracle and cost baseline.
+
+Both attention entry points run one core, :func:`_mha`, over the last two
+axes of their input; it records a single tape node whose backward is
+written out by hand, and tallies the same FLOPs, under the same scopes, as
+the separate ops it stands for. Window partition and merge are one node
+each.
 """
 
 from __future__ import annotations
@@ -76,6 +82,18 @@ def build_bias_index(window: int) -> np.ndarray:
     return ((delta[0] + m - 1) * (2 * m - 1) + (delta[1] + m - 1)).astype(np.int64)
 
 
+def _regroup(x: Tensor, split: tuple, shape: tuple, op_name: str) -> Tensor:
+    """One tape node: ``x`` viewed as ``split`` with axes 1 and 2 swapped,
+    copied and viewed as ``shape``. The swap is its own inverse."""
+    data = np.ascontiguousarray(x.data.reshape(split).swapaxes(1, 2)).reshape(shape)
+
+    def build():
+        swapped, x_shape = (split[0], split[2], split[1], *split[3:]), x.shape
+        return lambda g: (np.ascontiguousarray(g.reshape(swapped).swapaxes(1, 2)).reshape(x_shape),)
+
+    return tc._emit(data, (x,), build, op_name)
+
+
 def window_partition(x: Tensor, window: int) -> Tensor:
     """(H, W, C) -> (N, M^2, C), or a batch (B, H, W, C) -> (B*N, M^2, C):
     tiles in row-major tile order, image by image, tokens in row-major
@@ -90,9 +108,8 @@ def window_partition(x: Tensor, window: int) -> Tensor:
     geom = WindowGeometry(h, w, window)
     b = x.shape[0] if x.ndim == 4 else 1
     m = window
-    t = tc.reshape(x, (b * (h // m), m, w // m, m, c))
-    t = tc.transpose(t, (0, 2, 1, 3, 4))
-    return tc.reshape(t, (b * geom.n_windows, m * m, c))
+    return _regroup(x, (b * (h // m), m, w // m, m, c), (b * geom.n_windows, m * m, c),
+                    "window_partition")
 
 
 def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
@@ -110,9 +127,9 @@ def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
             f"{geom.height}x{geom.width} window {m}"
         )
     b = n // geom.n_windows
-    x = tc.reshape(windows, (b * geom.height // m, geom.width // m, m, m, c))
-    x = tc.transpose(x, (0, 2, 1, 3, 4))
-    return tc.reshape(x, (*((b,) if b > 1 else ()), geom.height, geom.width, c))
+    shape = (*((b,) if b > 1 else ()), geom.height, geom.width, c)
+    return _regroup(windows, (b * geom.height // m, geom.width // m, m, m, c), shape,
+                    "window_merge")
 
 
 class WindowAttentionParams:
@@ -170,24 +187,101 @@ class WindowAttentionParams:
         return sum(t.size for _, t in self.named_params())
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    """(..., T, C) -> (..., heads, T, d) with head i owning channel slice
-    [i*d, (i+1)*d)."""
-    *lead, tokens, dim = t.shape
-    d = dim // heads
-    t = tc.reshape(t, (*lead, tokens, heads, d))
-    axes = list(range(t.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return tc.transpose(t, tuple(axes))
+def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, rng):
+    """Attention over the T tokens of every (T, C) slice of ``x`` (..., T, C)
+    as one tape node with a hand-written backward. Returns the output and,
+    as arrays, the biased scores and the (post-dropout) weights.
 
+    One GEMM against ``[w_q | w_k | w_v]`` fills a q/k/v buffer whose heads
+    are views; the backward keeps ``x``, that buffer, the probabilities, the
+    merged heads and the dropout masks. A shared q/k matrix is two inputs,
+    so the tape sums both roles.
+    """
+    xd = x.data
+    *lead, t, c = xd.shape
+    if c != params.dim:
+        raise ConfigError(f"channel mismatch: input {c} vs params {params.dim}")
+    drop = params.dropout_rate if training else 0.0
+    if drop and rng is None:
+        raise ContractError("training-mode dropout needs an rng")
+    h = params.heads
+    d = c // h
+    n = len(lead)
+    to_heads = (n + 1, *range(n), n + 2, n, n + 3)  # (..., T, 3, h, d) -> (3, ..., h, T, d)
+    inputs = (x, params.w_q, params.w_k, params.w_v, params.w_o,
+              params.b_q, params.b_k, params.b_v, params.b_o)
+    fault = _FAULT_BIAS_SIGN
 
-def _merge_heads(t: Tensor) -> Tensor:
-    """(..., heads, T, d) -> (..., T, heads*d): concatenation across heads."""
-    axes = list(range(t.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    t = tc.transpose(t, tuple(axes))
-    *lead, tokens, heads, d = t.shape
-    return tc.reshape(t, (*lead, tokens, heads * d))
+    w_qkv = np.concatenate((params.w_q.data, params.w_k.data, params.w_v.data), axis=1)
+    x2 = xd.reshape(-1, c)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate((params.b_q.data, params.b_k.data, params.b_v.data))
+    q, k, v = qkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
+    scores = q @ k.swapaxes(-1, -2)
+    scale = scores.dtype.type(1.0 / math.sqrt(d))
+    scores *= scale
+    if bias:
+        inputs += (params.bias_table,)
+        table = params.bias_table.data.take(params.bias_index, axis=1)
+        scores += -table if fault else table
+    p = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    p_mask = tc._dropout_mask(p.shape, p.dtype, drop, rng) if drop else None
+    attn = p * p_mask if drop else p
+    merged = (attn @ v).swapaxes(-3, -2).reshape(-1, c)
+    out = merged @ params.w_o.data
+    out += params.b_o.data
+    o_mask = tc._dropout_mask(out.shape, out.dtype, drop, rng) if drop else None
+    if drop:
+        out *= o_mask
+    if tc._COUNTERS:  # the tally of the separate ops this node stands for
+        rows, n_scores = x2.shape[0], scores.size
+        for _ in range(3):  # q, k, v projections and their biases
+            tc._count("mac", 2 * rows * c * c)
+            tc._count("elementwise", rows * c)
+        with tc.flop_scope("scores"):
+            tc._count("mac", 2 * n_scores * d)
+        tc._count("elementwise", n_scores * (2 if bias else 1))  # scale, bias
+        tc._count("softmax", 5 * n_scores)
+        if drop:
+            tc._count("elementwise", n_scores)
+        with tc.flop_scope("weighted_sum"):
+            tc._count("mac", 2 * n_scores * d)
+        tc._count("mac", 2 * rows * c * c)
+        tc._count("elementwise", rows * c * (2 if drop else 1))  # bias, dropout
+
+    def build():
+        w_o = params.w_o.data
+
+        def bwd(g):
+            g2 = g.reshape(-1, c)
+            if drop:
+                g2 = g2 * o_mask
+            gz = (g2 @ w_o.T).reshape(*lead, t, h, d).swapaxes(-3, -2)
+            gp = gz @ v.swapaxes(-1, -2)
+            if drop:
+                gp *= p_mask
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            g_table = []
+            if bias:
+                gt = np.zeros_like(params.bias_table.data)
+                np.add.at(gt, (slice(None), params.bias_index), gs.reshape(-1, h, t, t).sum(axis=0))
+                g_table.append(-gt if fault else gt)
+            gs *= scale
+            gqkv = np.empty_like(qkv)
+            gq, gk, gv = gqkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
+            gq[...] = gs @ k
+            gk[...] = gs.swapaxes(-1, -2) @ q
+            gv[...] = (p * p_mask if drop else p).swapaxes(-1, -2) @ gz
+            gw = [np.ascontiguousarray(w) for w in np.split(x2.T @ gqkv, 3, axis=1)]
+            gx = (gqkv @ w_qkv.T).reshape(xd.shape)
+            gb = np.split(gqkv.sum(axis=0), 3)
+            return (gx, *gw, merged.T @ g2, *gb, g2.sum(axis=0), *g_table)
+
+        return bwd
+
+    return tc._emit(out.reshape(xd.shape), inputs, build, "mha"), scores, attn
 
 
 def window_mha_forward(
@@ -203,52 +297,15 @@ def window_mha_forward(
     the displacement bias, softmax (dropout in training), weighted sum of
     values, head concat, output projection (dropout in training). With
     ``return_scores`` the raw biased scores and the post-softmax weights
-    (N, heads, M^2, M^2) come back alongside the output.
+    (N, heads, M^2, M^2) come back alongside the output, off the tape.
     """
     if x_windows.ndim != 3:
         raise ContractError(f"expected (N, M^2, C) windows, got {x_windows.shape}")
-    n, t, c = x_windows.shape
-    if c != params.dim:
-        raise ConfigError(f"channel mismatch: input {c} vs params {params.dim}")
+    t = x_windows.shape[1]
     if t != params.window**2:
         raise ConfigError(f"window tokens {t} do not match window side {params.window}")
-    if training and params.dropout_rate > 0.0 and rng is None:
-        raise ContractError("training-mode dropout needs an rng")
-    h = params.heads
-    d = c // h
-
-    q = tc.add(tc.matmul(x_windows, params.w_q), params.b_q)
-    k = tc.add(tc.matmul(x_windows, params.w_k), params.b_k)
-    v = tc.add(tc.matmul(x_windows, params.w_v), params.b_v)
-    q = _split_heads(q, h)
-    k = _split_heads(k, h)
-    v = _split_heads(v, h)
-
-    with tc.flop_scope("scores"):
-        scores = tc.matmul(q, tc.transpose(k, (0, 1, 3, 2)))
-    scores = tc.mul(scores, 1.0 / math.sqrt(d))
-
-    flat_index = params.bias_index.reshape(-1)
-    bias = tc.take_lastdim(params.bias_table, flat_index)
-    bias = tc.reshape(bias, (h, t, t))
-    if _FAULT_BIAS_SIGN:
-        scores = tc.sub(scores, bias)
-    else:
-        scores = tc.add(scores, bias)
-
-    attn = tc.softmax_lastdim(scores)
-    if training and params.dropout_rate > 0.0:
-        attn = tc.dropout(attn, params.dropout_rate, rng)
-
-    with tc.flop_scope("weighted_sum"):
-        z = tc.matmul(attn, v)
-    out = tc.matmul(_merge_heads(z), params.w_o)
-    out = tc.add(out, params.b_o)
-    if training and params.dropout_rate > 0.0:
-        out = tc.dropout(out, params.dropout_rate, rng)
-    if return_scores:
-        return out, scores, attn
-    return out
+    out, scores, attn = _mha(x_windows, params, True, training, rng)
+    return (out, Tensor(scores), Tensor(attn)) if return_scores else out
 
 
 def global_mha_forward(
@@ -265,35 +322,5 @@ def global_mha_forward(
     """
     if x.ndim != 2:
         raise ContractError(f"expected (L, C) tokens, got {x.shape}")
-    l, c = x.shape
-    if c != params.dim:
-        raise ConfigError(f"channel mismatch: input {c} vs params {params.dim}")
-    if training and params.dropout_rate > 0.0 and rng is None:
-        raise ContractError("training-mode dropout needs an rng")
-    h = params.heads
-    d = c // h
-
-    q = tc.add(tc.matmul(x, params.w_q), params.b_q)
-    k = tc.add(tc.matmul(x, params.w_k), params.b_k)
-    v = tc.add(tc.matmul(x, params.w_v), params.b_v)
-    q = _split_heads(q, h)
-    k = _split_heads(k, h)
-    v = _split_heads(v, h)
-
-    with tc.flop_scope("scores"):
-        scores = tc.matmul(q, tc.transpose(k, (0, 2, 1)))
-    scores = tc.mul(scores, 1.0 / math.sqrt(d))
-
-    attn = tc.softmax_lastdim(scores)
-    if training and params.dropout_rate > 0.0:
-        attn = tc.dropout(attn, params.dropout_rate, rng)
-
-    with tc.flop_scope("weighted_sum"):
-        z = tc.matmul(attn, v)
-    out = tc.matmul(_merge_heads(z), params.w_o)
-    out = tc.add(out, params.b_o)
-    if training and params.dropout_rate > 0.0:
-        out = tc.dropout(out, params.dropout_rate, rng)
-    if return_scores:
-        return out, scores, attn
-    return out
+    out, scores, attn = _mha(x, params, False, training, rng)
+    return (out, Tensor(scores), Tensor(attn)) if return_scores else out

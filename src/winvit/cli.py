@@ -10,6 +10,7 @@ error, 3 checkpoint error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -110,33 +111,15 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _build(self, cls):
+        """``cls`` from the settings named like its dataclass fields."""
+        return cls(**{f.name: self.values[f.name] for f in dataclasses.fields(cls)})
+
     def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            image_size=v["image_size"],
-            patch_size=v["patch_size"],
-            embed_dim=v["embed_dim"],
-            depth=v["depth"],
-            heads=v["heads"],
-            window=v["window"],
-            mlp_ratio=v["mlp_ratio"],
-            num_classes=v["num_classes"],
-            dropout_rate=v["dropout_rate"],
-            sharing_mode=v["sharing_mode"],
-            seed=v["seed"],
-        )
+        return self._build(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["epochs"],
-            batch_size=v["batch_size"],
-            lr_init=v["lr_init"],
-            weight_decay=v["weight_decay"],
-            lr_min=v["lr_min"],
-            seed=v["seed"],
-            eval_every=v["eval_every"],
-        )
+        return self._build(TrainConfig)
 
     def datasets(self) -> dict:
         v = self.values

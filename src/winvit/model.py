@@ -219,11 +219,11 @@ def block_forward(
     tokens = tc.reshape(x, (-1, c))
     normed = tc.layernorm_lastdim(tokens, block.ln1_gamma, block.ln1_beta)
     windows = window_partition(tc.reshape(normed, x.shape), config.window)
-    attn_out, _, attn_weights = window_mha_forward(
-        windows, block.attn, training=training, rng=rng, return_scores=True
+    attn_out = window_mha_forward(
+        windows, block.attn, training=training, rng=rng, return_scores=capture is not None
     )
     if capture is not None:
-        capture["attn"] = attn_weights
+        attn_out, _, capture["attn"] = attn_out
     merged = window_merge(attn_out, geom)
     tokens = tc.add(tokens, tc.reshape(merged, (-1, c)))
 
@@ -279,26 +279,16 @@ def classify(
 # index map is never written; it is a pure function of the window side.
 
 _CONFIG_PACK = "<10qdB"
+# ModelConfig fields in record order; None is the reserved slot, and the
+# sharing mode is stored as its index in SHARING_MODES
+_CONFIG_FIELDS = ("image_size", "patch_size", "embed_dim", "depth", "heads", "window",
+                  "mlp_ratio", "num_classes", "seed", None, "dropout_rate", "sharing_mode")
 
 
 def _write_config(f, config: ModelConfig) -> None:
-    f.write(
-        struct.pack(
-            _CONFIG_PACK,
-            config.image_size,
-            config.patch_size,
-            config.embed_dim,
-            config.depth,
-            config.heads,
-            config.window,
-            config.mlp_ratio,
-            config.num_classes,
-            config.seed,
-            0,  # reserved
-            config.dropout_rate,
-            SHARING_MODES.index(config.sharing_mode),
-        )
-    )
+    values = [0 if k is None else getattr(config, k) for k in _CONFIG_FIELDS]
+    values[-1] = SHARING_MODES.index(values[-1])
+    f.write(struct.pack(_CONFIG_PACK, *values))
 
 
 def _read_config(f) -> ModelConfig:
@@ -306,25 +296,14 @@ def _read_config(f) -> ModelConfig:
     raw = f.read(size)
     if len(raw) < size:
         raise CheckpointTruncatedError("config record truncated")
-    vals = struct.unpack(_CONFIG_PACK, raw)
-    (image_size, patch_size, embed_dim, depth, heads, window, mlp_ratio,
-     num_classes, seed, _reserved, dropout_rate, sharing) = vals
+    values = dict(zip(_CONFIG_FIELDS, struct.unpack(_CONFIG_PACK, raw)))
+    del values[None]
+    sharing = values["sharing_mode"]
     if not 0 <= sharing < len(SHARING_MODES):
         raise CheckpointError(f"unknown sharing mode code {sharing}")
+    values["sharing_mode"] = SHARING_MODES[sharing]
     try:
-        return ModelConfig(
-            image_size=image_size,
-            patch_size=patch_size,
-            embed_dim=embed_dim,
-            depth=depth,
-            heads=heads,
-            window=window,
-            mlp_ratio=mlp_ratio,
-            num_classes=num_classes,
-            dropout_rate=dropout_rate,
-            sharing_mode=SHARING_MODES[sharing],
-            seed=seed,
-        )
+        return ModelConfig(**values)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
 

@@ -76,10 +76,12 @@ class Tensor:
             self.data = values
             return
         arr = np.asarray(values)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
+        if dtype is None:
+            # float32/float64 keep their width, in native byte order
+            dt = arr.dtype
+            native = dt.kind == "f" and dt.itemsize in (4, 8)
+            dtype = dt.newbyteorder("=") if native else DEFAULT_DTYPE
+        arr = arr.astype(dtype, copy=False)
         if arr.ndim and min(arr.shape) < 1:
             raise ShapeError(f"tensor axes must be >= 1, got shape {arr.shape}")
         # ascontiguousarray promotes rank 0 to rank 1; keep scalars rank 0
@@ -550,13 +552,13 @@ def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign so neither branch exponentiates a large positive value.
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below. Negating only x >= 0 keeps a NaN's sign bit.
     x = a.data
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    out = np.where(pos, 1.0 / d, e / d)
     _count("elementwise", a.size)
 
     def build():
@@ -704,15 +706,18 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    scale = x.dtype.type(1.0 / (1.0 - rate))
-    data = x.data * keep * scale
+    mask = _dropout_mask(x.shape, x.dtype, rate, rng)
+    data = x.data * mask
     _count("elementwise", x.size)
+    return _emit(data, (x,), lambda: lambda g: (g * mask,), "dropout")
 
-    def build():
-        return lambda g: (g * keep * scale,)
 
-    return _emit(data, (x,), build, "dropout")
+def _dropout_mask(shape, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Kept entries 1 / (1 - rate), dropped ones 0: one uniform draw per
+    entry, kept where the draw is >= ``rate``. Multiplying by the mask
+    gives the bits of multiplying by the 0/1 keep mask, then the scale."""
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    return keep * dtype.type(1.0 / (1.0 - rate))
 
 
 # ---------------------------------------------------------------------------

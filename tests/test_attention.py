@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from winvit import attention
 from winvit import tensor as tc
 from winvit.attention import (
     WindowAttentionParams,
@@ -174,6 +175,23 @@ class TestWindowPartition:
         windows = window_partition(tc.Tensor(np.zeros((2, 4, 4, 3))), 2)
         with pytest.raises(GeometryError):
             window_merge(tc.Tensor(windows.data[:-1]), geom)
+
+    def test_gradients_are_the_inverse_regrouping(self):
+        # partition and merge permute entries, so each one's gradient is
+        # the other applied to the output gradient, bit for bit
+        rng = np.random.default_rng(74)
+        for b, h, w, m in ((1, 4, 6, 2), (3, 6, 9, 3), (2, 2, 8, 2), (1, 6, 3, 3)):
+            geom = WindowGeometry(h, w, m)
+            x = tc.Tensor(rng.normal(size=(b, h, w, 3) if b > 1 else (h, w, 3)))
+            windows = tc.Tensor(rng.normal(size=(b * geom.n_windows, m * m, 3)))
+            with tc.Tape() as tape:
+                loss = tc.reduce_sum(tc.mul(window_partition(x, m), windows))
+            grad = tc.backward(loss, tape)[x]
+            np.testing.assert_array_equal(grad, window_merge(windows, geom).data)
+            with tc.Tape() as tape:
+                loss = tc.reduce_sum(tc.mul(window_merge(windows, geom), x))
+            grad = tc.backward(loss, tape)[windows]
+            np.testing.assert_array_equal(grad, window_partition(x, m).data)
 
     def test_partition_is_differentiable(self):
         x = tc.Tensor(np.random.default_rng(72).normal(size=(4, 4, 2)))
@@ -487,3 +505,170 @@ class TestAttentionGradients:
         np.testing.assert_allclose(
             g_shared, g_untied[untied.w_q] + g_untied[untied.w_k], atol=1e-4
         )
+
+
+# ---------------------------------------------------------------------------
+# the fused core against the composition of tape ops it replaced
+
+
+def composed_mha(x, p, bias, training=False, rng=None):
+    """Attention spelled as the separate tape ops (projections, head
+    split, scores, bias gather, softmax, dropout, weighted sum, head
+    merge, output projection) that the fused core folds into one node."""
+    *lead, t, c = x.shape
+    h = p.heads
+    d = c // h
+    nd = len(lead)
+
+    def split(u):
+        u = tc.reshape(u, (*lead, t, h, d))
+        return tc.transpose(u, (*range(nd), nd + 1, nd, nd + 2))
+
+    q = split(tc.add(tc.matmul(x, p.w_q), p.b_q))
+    k = split(tc.add(tc.matmul(x, p.w_k), p.b_k))
+    v = split(tc.add(tc.matmul(x, p.w_v), p.b_v))
+    with tc.flop_scope("scores"):
+        scores = tc.matmul(q, tc.transpose(k, (*range(nd + 1), nd + 2, nd + 1)))
+    scores = tc.mul(scores, 1.0 / math.sqrt(d))
+    if bias:
+        table = tc.reshape(tc.take_lastdim(p.bias_table, p.bias_index.reshape(-1)), (h, t, t))
+        scores = tc.sub(scores, table) if attention._FAULT_BIAS_SIGN else tc.add(scores, table)
+    attn = tc.softmax_lastdim(scores)
+    dropping = training and p.dropout_rate > 0.0
+    if dropping:
+        attn = tc.dropout(attn, p.dropout_rate, rng)
+    with tc.flop_scope("weighted_sum"):
+        z = tc.matmul(attn, v)
+    z = tc.transpose(z, (*range(nd), nd + 1, nd, nd + 2))
+    out = tc.add(tc.matmul(tc.reshape(z, (*lead, t, c)), p.w_o), p.b_o)
+    if dropping:
+        out = tc.dropout(out, p.dropout_rate, rng)
+    return out, scores, attn
+
+
+def random_case(rng, windowed, sharing_mode, live_bias=True, dropout_rate=0.0):
+    """float64 params with nonzero biases, and a (N, M^2, C) or (L, C) input."""
+    heads = int(rng.integers(1, 4))
+    dim = heads * int(rng.integers(1, 4))
+    window = int(rng.integers(1, 4))
+    p = WindowAttentionParams(dim, heads, window, dropout_rate=dropout_rate,
+                              sharing_mode=sharing_mode, rng=rng)
+    for _, t in p.named_params():
+        t.data = rng.normal(0.0, 0.5, t.shape)
+    if not live_bias:
+        p.bias_table.data[...] = 0.0
+    if windowed:
+        shape = (int(rng.integers(1, 5)), window * window, dim)
+    else:
+        shape = (int(rng.integers(1, 10)), dim)
+    return p, tc.Tensor(rng.normal(size=shape))
+
+
+def run_both(x, p, windowed, training=False, seed=None):
+    """(fused, composed) results: output, scores, weights, every
+    parameter's and the input's gradient, and the FLOP counter."""
+    fused_fn = window_mha_forward if windowed else global_mha_forward
+    target = np.random.default_rng(0).normal(size=x.shape)
+    results = []
+    for run in ("fused", "composed"):
+        rng = None if seed is None else np.random.default_rng(seed)
+        with tc.FlopCounter() as counter, tc.Tape() as tape:
+            if run == "fused":
+                out, scores, attn = fused_fn(x, p, training=training, rng=rng, return_scores=True)
+            else:
+                out, scores, attn = composed_mha(x, p, windowed, training, rng)
+        with tape:
+            loss = tc.reduce_sum(tc.mul(out, tc.Tensor(target)))
+        grads = tc.backward(loss, tape)
+        # the global path never reads the bias table
+        named = {name: grads.get(t, 0.0) for name, t in p.named_params()}
+        named["x"] = grads[x]
+        results.append((out.data, scores.data, attn.data, named, counter))
+    return results
+
+
+def assert_same_results(fused, composed, tokens):
+    """Output, scores and weights bit-equal; gradients within 1e-12."""
+    for a, b in zip(fused[:3], composed[:3]):
+        if tokens > 1:
+            np.testing.assert_array_equal(a, b)
+        else:
+            # one token: BLAS runs each projection as a GEMV, whose
+            # rounding depends on the column count (C vs 3C)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+    for name, g in composed[3].items():
+        np.testing.assert_allclose(fused[3][name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestFusedCore:
+    CASES = [(windowed, mode) for windowed in (True, False) for mode in ("standard", "shared_qk")]
+
+    @pytest.mark.parametrize("windowed,mode", CASES)
+    def test_bit_equal_outputs_and_matching_gradients(self, windowed, mode):
+        rng = np.random.default_rng(500 + 2 * windowed + (mode == "shared_qk"))
+        for trial in range(12):
+            p, x = random_case(rng, windowed, mode, live_bias=trial % 3 != 0)
+            fused, composed = run_both(x, p, windowed)
+            assert_same_results(fused, composed, x.shape[-2])
+
+    @pytest.mark.parametrize("windowed,mode", CASES)
+    def test_flop_counts_match_composition(self, windowed, mode):
+        rng = np.random.default_rng(520)
+        for training in (False, True):
+            p, x = random_case(rng, windowed, mode, dropout_rate=0.3)
+            fused, composed = run_both(x, p, windowed, training=training, seed=4)
+            assert fused[4].by_category == composed[4].by_category
+            assert fused[4].by_scope == composed[4].by_scope
+
+    @pytest.mark.parametrize("windowed,mode", CASES)
+    def test_training_dropout_draws_like_composition(self, windowed, mode):
+        rng = np.random.default_rng(530)
+        for _ in range(4):
+            p, x = random_case(rng, windowed, mode, dropout_rate=0.4)
+            fused, composed = run_both(x, p, windowed, training=True, seed=17)
+            assert_same_results(fused, composed, x.shape[-2])
+            again = (window_mha_forward if windowed else global_mha_forward)(
+                x, p, training=True, rng=np.random.default_rng(17))
+            np.testing.assert_array_equal(again.data, fused[0])
+
+    @pytest.mark.parametrize("windowed,mode,rate", [
+        (False, "standard", 0.0), (True, "shared_qk", 0.0), (False, "shared_qk", 0.3),
+        (True, "standard", 0.3),
+    ])
+    def test_finite_differences(self, windowed, mode, rate):
+        rng = np.random.default_rng(540)
+        p, x = random_case(rng, windowed, mode, dropout_rate=rate)
+        fn = window_mha_forward if windowed else global_mha_forward
+        target = tc.Tensor(rng.normal(size=x.shape))
+
+        def loss_fn():
+            # a fresh rng per call draws the same masks every evaluation
+            out = fn(x, p, training=rate > 0, rng=np.random.default_rng(8))
+            diff = tc.sub(out, target)
+            return tc.reduce_mean(tc.mul(diff, diff))
+
+        params = [t for _, t in p.named_params()] + [x]
+        err = tc.finite_difference_check(loss_fn, params, eps=1e-6)
+        assert err < 1e-6, f"finite difference error {err:.3e}"
+
+    def test_one_node_per_call(self):
+        rng = np.random.default_rng(550)
+        p, x = random_case(rng, True, "standard")
+        with tc.Tape() as tape:
+            window_mha_forward(x, p)
+            global_mha_forward(tc.Tensor(x.data[0]), p)
+            grid = tc.Tensor(rng.normal(size=(2, 4, 4, 3)))
+            window_merge(window_partition(grid, 2), WindowGeometry(4, 4, 2))
+        assert len(tape.nodes) == 4
+
+    def test_fault_bias_sign_subtracts_bias(self):
+        rng = np.random.default_rng(560)
+        p, x = random_case(rng, True, "standard")
+        _, plain, _ = window_mha_forward(x, p, return_scores=True)
+        attention.set_fault_bias_sign(True)
+        try:
+            fused, composed = run_both(x, p, True)
+        finally:
+            attention.set_fault_bias_sign(False)
+        assert_same_results(fused, composed, x.shape[-2])
+        np.testing.assert_allclose(fused[1], plain.data - 2 * expanded_bias(p), rtol=0, atol=1e-12)

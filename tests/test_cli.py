@@ -135,6 +135,12 @@ class TestCheck:
             assert f"{name}" in out
         assert "FAIL" not in out
 
+    def test_tight_float64_gradients_exit_0(self, capsys):
+        assert main(["check", "--f64"]) == 0
+        out = capsys.readouterr().out
+        grad_line = next(l for l in out.splitlines() if l.startswith("gradients"))
+        assert "PASS" in grad_line and "< 1e-05" in grad_line
+
     def test_injected_fault_exits_1(self, capsys):
         code = main(["check", "--fault-bias-sign"])
         assert code == 1

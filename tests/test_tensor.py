@@ -371,6 +371,26 @@ class TestActivationProperties:
         assert np.isfinite(ext).all()
         np.testing.assert_allclose(ext, [0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_bits_match_masked_formula(self):
+        # the sign-split formula with boolean-mask scatters, as a reference
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 100.0, -100.0, 1e-30, -1e-30, 88.7, -88.7]
+        rng = np.random.default_rng(24)
+        for dtype in (np.float32, np.float64):
+            x = np.concatenate([special, rng.normal(scale=20.0, size=500)]).astype(dtype)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = tc.sigmoid(tc.Tensor(x)).data
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got.view(f"u{x.itemsize}"), masked(x).view(f"u{x.itemsize}"))
+
     def test_layernorm_normalizes(self):
         rng = np.random.default_rng(23)
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 16))
@@ -807,7 +827,8 @@ class TestDispatch:
             (base.T, np.float64),  # not C-contiguous
             (base[:, ::2], np.float64),
             (np.arange(6).reshape(2, 3), np.float32),  # integer
-            (base.astype(">f8"), np.float32),  # not native byte order
+            (base.astype(">f8"), np.float64),  # not native byte order
+            (base.astype(">f4"), np.float32),
             ([[1.0, 2.0]], np.float64),
             (np.float64(2.5), np.float64),
         ]

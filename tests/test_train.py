@@ -274,6 +274,32 @@ class TestTrainLoop:
         last = lines[-1].split(",")
         assert all(f != "" for f in last)
 
+    def test_metrics_rows_survive_a_failing_step(self, tmp_path, monkeypatch):
+        # a step that raises after k finished steps leaves the header and
+        # exactly those k rows on disk, equal to a full run's first rows
+        data = tiny_data()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+        full = tmp_path / "full.csv"
+        train_loop(Model(ModelConfig(**TINY_MODEL)), data["train"], data["val"], cfg,
+                   metrics_path=full)
+        k = 4
+        calls = []
+
+        def failing_step(state, grads, lr, **kwargs):
+            if len(calls) == k:
+                raise DivergenceError("injected")
+            calls.append(lr)
+            return adamw_step(state, grads, lr, **kwargs)
+
+        monkeypatch.setattr(train_mod, "adamw_step", failing_step)
+        cut = tmp_path / "cut.csv"
+        with pytest.raises(DivergenceError, match="injected"):
+            train_loop(Model(ModelConfig(**TINY_MODEL)), data["train"], data["val"], cfg,
+                       metrics_path=cut)
+        lines = cut.read_text().split("\n")
+        assert lines[-1] == ""  # every row is complete
+        assert lines[:-1] == full.read_text().split("\n")[: 1 + k]
+
     def test_eval_every_and_checkpoints(self, tmp_path):
         data = tiny_data()
         model = Model(ModelConfig(**TINY_MODEL))
