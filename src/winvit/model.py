@@ -33,7 +33,7 @@ from .errors import (
     CheckpointTruncatedError,
     ConfigError,
 )
-from .spatial import SamParams, sam_residual
+from .spatial import SamParams, sam_map, sam_residual
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WMHV1"
@@ -211,10 +211,6 @@ def block_forward(
     lead = x.shape[:-3]
     h, w, c = x.shape[-3:]
     geom = WindowGeometry(h, w, config.window)
-    # channels-last grid <-> channels-first maps around the spatial gate
-    k = len(lead)
-    to_chw = (*range(k), k + 2, k, k + 1)
-    to_hwc = (*range(k), k + 1, k + 2, k)
 
     tokens = tc.reshape(x, (-1, c))
     normed = tc.layernorm_lastdim(tokens, block.ln1_gamma, block.ln1_beta)
@@ -231,13 +227,12 @@ def block_forward(
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
     rc = hidden.shape[-1]
     grid = tc.reshape(hidden, (*lead, h, w, rc))
-    grid = tc.transpose(tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1), to_chw)
+    grid = tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1)
     if capture is not None:
-        from .spatial import sam_map
-
-        capture["sam"] = sam_map(grid, block.sam)
-    grid = sam_residual(grid, block.sam)
-    hidden = tc.reshape(tc.transpose(grid, to_hwc), (-1, rc))
+        gate = sam_map(grid, block.sam, channel_axis=-1)
+        capture["sam"] = tc.reshape(gate, (*lead, 1, h, w))
+    grid = sam_residual(grid, block.sam, channel_axis=-1)
+    hidden = tc.reshape(grid, (-1, rc))
     projected = tc.add(tc.matmul(hidden, block.fc2_weight), block.fc2_bias)
     return tc.reshape(tc.add(tokens, projected), x.shape)
 

@@ -551,14 +551,17 @@ def reduce_mean(a: Tensor, axes=None, keepdims=False) -> Tensor:
 # nonlinearities
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
     # below. Negating only x >= 0 keeps a NaN's sign bit.
-    x = a.data
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
     d = 1.0 + e
-    out = np.where(pos, 1.0 / d, e / d)
+    return np.where(pos, 1.0 / d, e / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     _count("elementwise", a.size)
 
     def build():
@@ -745,9 +748,9 @@ def _tap_view(x: np.ndarray, kh: int, kw: int, pad_y: int, pad_x: int):
     if (kh - 1 + ho) * row + kw - 1 > buf.shape[1] * row:
         raise ShapeError(f"kernel {kh}x{kw} overruns a padded row of {row}")
     img, line, pixel, chan = buf.strides
-    taps = np.lib.stride_tricks.as_strided(
-        buf, (n, kh, kw, ho * row, c), (img, line, pixel, pixel, chan), writeable=False
-    )
+    # built directly: as_strided's Python wrapper costs several times more
+    taps = np.ndarray((n, kh, kw, ho * row, c), buf.dtype, buf, 0, (img, line, pixel, pixel, chan))
+    taps.flags.writeable = False
     return taps, (ho, wo, row)
 
 
@@ -758,51 +761,77 @@ def _slide(x: np.ndarray, k: np.ndarray, pad_y: int, pad_x: int) -> np.ndarray:
     kh, kw = k.shape[:2]
     taps, (ho, wo, row) = _tap_view(x, kh, kw, pad_y, pad_x)
     if k.ndim == 4:
-        out = np.tensordot(taps, k, axes=([1, 2, 4], [0, 1, 2]))
+        # tensordot's GEMM over (taps, Cin), without its Python wrapper
+        out = _tap_rows(taps) @ k.reshape(-1, k.shape[-1])
     else:
         out = np.einsum("byxnc,yxc->bnc", taps, k)
     return out.reshape(x.shape[0], ho, row, k.shape[-1])[:, :, :wo]
+
+
+def _tap_rows(taps: np.ndarray) -> np.ndarray:
+    """The tap view as a ``[N*ho*row, kh*kw*C]`` matrix (a copy)."""
+    n, kh, kw, npix, c = taps.shape
+    return taps.transpose(0, 3, 1, 2, 4).reshape(n * npix, kh * kw * c)
+
+
+def _conv_forward(xb: np.ndarray, kd: np.ndarray, bd: np.ndarray, padding: int):
+    """``_slide`` plus bias over a batch ``xb[N, H, W, Cin]`` for an OIHW
+    (dense) or CHW (depthwise) kernel ``kd``, counted. Returns the output
+    ``[N, ho, wo, Cout]`` and the tap-major kernel that
+    :func:`_conv_backward` takes."""
+    dense = kd.ndim == 4
+    # OIHW -> (kh, kw, Cin, Cout) and CHW -> (kh, kw, C)
+    k = np.ascontiguousarray(kd.transpose((2, 3, 1, 0) if dense else (1, 2, 0)))
+    out = _slide(xb, k, padding, padding) + bd
+    _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
+    _count("elementwise", out.size)
+    return out, k
+
+
+def _conv_backward(g: np.ndarray, xb: np.ndarray, k: np.ndarray, padding: int):
+    """Gradients of :func:`_conv_forward` for the output gradient
+    ``g[N, ho, wo, Cout]``: the input ``[N, H, W, Cin]``, the kernel in its
+    OIHW or CHW layout, and the bias."""
+    dense = k.ndim == 4
+    kh, kw = k.shape[:2]
+    h, w = xb.shape[1:3]
+    # The input gradient is the correlation of g with the flipped kernel.
+    # Padding g by k-1-padding yields exactly the unpadded input; a padding
+    # above k-1 leaves a border to crop.
+    flipped = k[::-1, ::-1].swapaxes(2, 3) if dense else k[::-1, ::-1]
+    qy, qx = kh - 1 - padding, kw - 1 - padding
+    gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
+    cy, cx = max(-qy, 0), max(-qx, 0)
+    gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w])
+    taps, (ho, wo, row) = _tap_view(xb, kh, kw, padding, padding)
+    grow = np.zeros((g.shape[0], ho, row, g.shape[-1]), dtype=g.dtype)
+    grow[:, :, :wo] = g
+    grow = grow.reshape(g.shape[0], ho * row, g.shape[-1])
+    if dense:
+        cout, cin = g.shape[-1], xb.shape[-1]
+        gk = grow.reshape(-1, cout).T @ _tap_rows(taps)
+        gk = gk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+    else:
+        gk = np.einsum("bnc,byxnc->cyx", grow, taps)
+    return gx, np.ascontiguousarray(gk), g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
     """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
     shapes are validated; the kernel's rank selects dense or depthwise.
     A (H, W, C) input runs as a batch of one."""
-    kd, xd = kernel.data, x.data
-    dense = kd.ndim == 4
-    # OIHW -> (kh, kw, Cin, Cout) and CHW -> (kh, kw, C)
-    k = np.ascontiguousarray(kd.transpose((2, 3, 1, 0) if dense else (1, 2, 0)))
+    xd = x.data
     x_shape = xd.shape
     lead = x_shape[:-3]
     xb = xd.reshape(math.prod(lead), *x_shape[-3:])
-    out = _slide(xb, k, padding, padding) + bias.data
-    _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
-    _count("elementwise", out.size)
+    out, k = _conv_forward(xb, kernel.data, bias.data, padding)
 
     def build():
-        kh, kw = kd.shape[-2:]
-        h, w = xb.shape[1:3]
         batched = out.shape
 
         def bwd(g):
-            g = g.reshape(batched)
-            # The input gradient is the correlation of g with the flipped
-            # kernel. Padding g by k-1-padding yields exactly the unpadded
-            # input; a padding above k-1 leaves a border to crop.
-            flipped = k[::-1, ::-1].swapaxes(2, 3) if dense else k[::-1, ::-1]
-            qy, qx = kh - 1 - padding, kw - 1 - padding
-            gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
-            cy, cx = max(-qy, 0), max(-qx, 0)
-            gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w]).reshape(x_shape)
-            taps, (ho, wo, row) = _tap_view(xb, kh, kw, padding, padding)
-            grow = np.zeros((g.shape[0], ho, row, g.shape[-1]), dtype=g.dtype)
-            grow[:, :, :wo] = g
-            grow = grow.reshape(g.shape[0], ho * row, g.shape[-1])
-            if dense:
-                gk = np.tensordot(grow, taps, axes=([0, 1], [0, 3])).transpose(0, 3, 1, 2)
-            else:
-                gk = np.einsum("bnc,byxnc->cyx", grow, taps)
-            return gx, np.ascontiguousarray(gk), g.reshape(-1, g.shape[-1]).sum(axis=0)
+            gx, gk, gb = _conv_backward(g.reshape(batched), xb, k, padding)
+            return gx.reshape(x_shape), gk, gb
 
         return bwd
 

@@ -340,7 +340,7 @@ class TestBatchedForward:
             logits = classify(tc.Tensor(images), m, training=True)
             loss = tc.cross_entropy_logits(logits, np.arange(8) % 3)
         grads = tc.backward(loss, tape)
-        assert len(tape.nodes) == 136  # 4 blocks of 31 nodes, 12 outside them
+        assert len(tape.nodes) == 92  # 4 blocks of 20 nodes, 12 outside them
         assert not any(node.output in grads for node in tape.nodes)
         for name, t in m.named_params():
             assert t in grads, name

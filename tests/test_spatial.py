@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from winvit import tensor as tc
+from winvit.errors import ConfigError, ShapeError
+from winvit.model import Model, ModelConfig, classify
 from winvit.spatial import KERNEL_SIZE, PADDING, SamParams, sam_map, sam_residual
 
 
@@ -195,3 +197,150 @@ class TestSamResidual:
                 sam_map(f, p)
             costs.append(fc.mac_flops)
         assert costs[0] == costs[1] == costs[2]
+
+
+# ---------------------------------------------------------------------------
+# the fused gate node against the separate tensor ops it replaced
+
+
+def composed_map(f, params):
+    """The gate as separate ``tc`` ops on channels-first ``f``: two channel
+    pools, reshapes, concat, the 7x7 conv2d and the sigmoid."""
+    lead, (h, w) = f.shape[:-3], f.shape[-2:]
+    pools = [tc.reshape(tc.channel_pool(f, mode), (*lead, h, w, 1)) for mode in ("avg", "max")]
+    desc = tc.concat(pools, axis=-1)
+    conv = tc.conv2d(desc, params.conv_kernel, params.conv_bias, padding=PADDING)
+    return tc.sigmoid(tc.reshape(conv, (*lead, 1, h, w)))
+
+
+def composed(f, params, channel_axis, residual):
+    """``composed_map`` or ``f + f * gate`` in either layout; channels-last
+    input is transposed to channels-first and the result back."""
+    k = f.ndim - 3
+    if channel_axis == -1:
+        f = tc.transpose(f, (*range(k), k + 2, k, k + 1))
+    out = composed_map(f, params)
+    if residual:
+        out = tc.add(f, tc.mul(f, out))
+    if channel_axis == -1:
+        out = tc.transpose(out, (*range(k), k + 1, k + 2, k))
+    return out
+
+
+def fused(f, params, channel_axis, residual):
+    fn = sam_residual if residual else sam_map
+    return fn(f, params, channel_axis=channel_axis)
+
+
+def f64_params(seed):
+    # a kernel large enough that the gate varies well away from 0.5
+    p = SamParams(rng=np.random.default_rng(seed))
+    p.conv_kernel = tc.Tensor(p.conv_kernel.data.astype(np.float64) * 40.0)
+    p.conv_bias = tc.Tensor(np.array([0.3]))
+    return p
+
+
+def features(rng, channel_axis, batched, c=5, h=6, w=7):
+    shape = (c, h, w) if channel_axis == -3 else (h, w, c)
+    return rng.normal(size=((3,) if batched else ()) + shape)
+
+
+def run_with_grads(fn, f, p, channel_axis, residual):
+    """Output, tape length and the gradients of f, kernel and bias for a
+    fixed random weighting of the output."""
+    x = tc.Tensor(f)
+    with tc.Tape() as tape:
+        out = fn(x, p, channel_axis, residual)
+        weights = np.random.default_rng(7).normal(size=out.shape)
+        loss = tc.reduce_sum(tc.mul(out, tc.Tensor(weights)))
+    grads = tc.backward(loss, tape)
+    return out.data, len(tape), [grads[t] for t in (x, p.conv_kernel, p.conv_bias)]
+
+
+LAYOUTS = [(axis, batched) for axis in (-3, -1) for batched in (False, True)]
+
+
+class TestFusedGate:
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("channel_axis,batched", LAYOUTS)
+    def test_matches_composed_ops(self, channel_axis, batched, residual):
+        rng = np.random.default_rng(201)
+        p = f64_params(202)
+        f = features(rng, channel_axis, batched)
+        got, nodes, got_grads = run_with_grads(fused, f, p, channel_axis, residual)
+        ref, _, ref_grads = run_with_grads(composed, f, p, channel_axis, residual)
+        assert nodes == 3  # the gate, the weighting, the sum
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        for name, a, b in zip(("f", "conv_kernel", "conv_bias"), got_grads, ref_grads):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("channel_axis", [-3, -1])
+    def test_max_tie_gradient_goes_to_first_channel(self, channel_axis, residual):
+        rng = np.random.default_rng(203)
+        p = f64_params(204)
+        f = features(rng, -1, batched=False)
+        f[2, 3] = [0.1, 0.9, -0.3, 0.9, 0.2]  # channels 1 and 3 share the max
+        if channel_axis == -3:
+            f = np.ascontiguousarray(f.transpose(2, 0, 1))
+        _, _, (gf, _, _) = run_with_grads(fused, f, p, channel_axis, residual)
+        _, _, (ref, _, _) = run_with_grads(composed, f, p, channel_axis, residual)
+        np.testing.assert_allclose(gf, ref, rtol=0, atol=1e-12)
+        if not residual:  # the pixel's gradient is the avg share plus, once, the max's
+            pixel = gf[2, 3] if channel_axis == -1 else gf[:, 2, 3]
+            others = pixel[[0, 2, 3, 4]]
+            np.testing.assert_allclose(others, others[0], rtol=0, atol=1e-15)
+            assert abs(pixel[1] - pixel[3]) > 1e-6
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("channel_axis,batched", LAYOUTS)
+    def test_flop_counts_match_composed_ops(self, channel_axis, batched, residual):
+        p = f64_params(205)
+        f = tc.Tensor(features(np.random.default_rng(206), channel_axis, batched))
+        counts = []
+        for fn in (fused, composed):
+            with tc.FlopCounter() as counter:
+                fn(f, p, channel_axis, residual)
+                with tc.flop_scope("gate"):
+                    fn(f, p, channel_axis, residual)
+            counts.append((counter.by_category, counter.by_scope))
+        assert counts[0] == counts[1]
+        # 2 FLOPs per multiply-add, two calls, 98 taps per output pixel
+        assert counts[0][0]["mac"] == 2 * 2 * (3 if batched else 1) * 6 * 7 * 98
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_model_capture_is_the_channels_first_map(self, batched, monkeypatch):
+        cfg = ModelConfig(image_size=16, patch_size=4, embed_dim=8, depth=2, heads=2, window=2,
+                          mlp_ratio=2, num_classes=3)
+        m = Model(cfg).to_dtype(np.float64)
+        for block in m.blocks:
+            block.sam.conv_kernel.data *= 40.0
+        grids = []
+
+        def recording(f, params, channel_axis=-3):
+            grids.append(f)
+            return sam_residual(f, params, channel_axis=channel_axis)
+
+        monkeypatch.setattr("winvit.model.sam_residual", recording)
+        shape = (2, 3, 16, 16) if batched else (3, 16, 16)
+        image = tc.Tensor(np.random.default_rng(207).uniform(0, 1, shape))
+        capture = []
+        classify(image, m, capture=capture)
+        assert len(capture) == len(grids) == 2
+        for cap, grid, block in zip(capture, grids, m.blocks):
+            assert cap["sam"].shape == ((2, 1, 4, 4) if batched else (1, 4, 4))
+            ref = composed(grid, block.sam, -1, residual=False).data
+            np.testing.assert_allclose(cap["sam"].data, ref.reshape(cap["sam"].shape),
+                                       rtol=0, atol=1e-12)
+
+    def test_bad_arguments_are_typed_errors(self):
+        p = SamParams()
+        with pytest.raises(ConfigError):
+            sam_map(tc.ones((4, 8, 8)), p, channel_axis=0)
+        with pytest.raises(ShapeError):
+            sam_residual(tc.ones((8, 8)), p)
+        p.conv_kernel = tc.zeros((1, 2, 3, 3))
+        with pytest.raises(ShapeError):
+            sam_residual(tc.ones((4, 8, 8)), p)

@@ -803,6 +803,23 @@ class TestBatchAxis:
             tracemalloc.stop()
         assert peak < 8 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
+    def test_tap_view_is_read_only_and_checks_overrun(self):
+        x = np.arange(2 * 3 * 4 * 2, dtype=np.float64).reshape(2, 3, 4, 2)
+        taps, (ho, wo, row) = tc._tap_view(x, 3, 3, 1, 1)
+        assert (ho, wo, row) == (3, 4, 6)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0, 0, 0, 0, 0] = 1.0
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        for dy in range(3):
+            for dx in range(3):
+                tap = taps[:, dy, dx].reshape(2, ho, row, 2)[:, :, :wo]
+                np.testing.assert_array_equal(tap, padded[:, dy : dy + ho, dx : dx + wo])
+        # a kernel wider than a padded row plus the spare row would read
+        # past the buffer
+        with pytest.raises(ShapeError):
+            tc._tap_view(np.zeros((1, 3, 1, 1)), 1, 5, 0, 0)
+
     def test_rank_outside_3_or_4_rejected(self):
         for shape in ((5, 5), (1, 1, 2, 5, 5)):
             with pytest.raises(ShapeError):
