@@ -32,34 +32,21 @@ from .model import Model, ModelConfig, classify, load_checkpoint, save_checkpoin
 from .tensor import Tensor
 from .train import TrainConfig, evaluate, train_loop
 
-# key -> (parser, default); the single source of truth for RunConfig
+
+def _key(cls, name: str) -> str:
+    """The config key of field ``name`` of ``cls``; the dataset's seed is
+    data_seed, every other field keeps its own name."""
+    return "data_seed" if (cls, name) == (SyntheticSpec, "seed") else name
+
+
+# key -> (parser, default), taken from the fields of the dataclasses that
+# RunConfig builds; fields shared between them share one key
 _SCHEMA = {
-    # model
-    "image_size": (int, 64),
-    "patch_size": (int, 8),
-    "embed_dim": (int, 64),
-    "depth": (int, 4),
-    "heads": (int, 4),
-    "window": (int, 4),
-    "mlp_ratio": (int, 4),
-    "num_classes": (int, 3),
-    "dropout_rate": (float, 0.0),
-    "sharing_mode": (str, "standard"),
-    "seed": (int, 0),
-    # training
-    "epochs": (int, 10),
-    "batch_size": (int, 8),
-    "lr_init": (float, 7e-4),
-    "weight_decay": (float, 5e-2),
-    "lr_min": (float, 1e-6),
-    "eval_every": (int, 0),
-    # data
-    "dataset": (str, "synthetic"),
-    "manifest_path": (str, ""),
-    "samples_per_class": (int, 70),
-    "noise_std": (float, 0.05),
-    "data_seed": (int, 0),
+    _key(cls, f.name): (type(f.default), f.default)
+    for cls in (ModelConfig, TrainConfig, SyntheticSpec)
+    for f in dataclasses.fields(cls)
 }
+_SCHEMA.update(dataset=(str, "synthetic"), manifest_path=(str, ""))
 
 
 class RunConfig:
@@ -112,8 +99,8 @@ class RunConfig:
         return self.values[key]
 
     def _build(self, cls):
-        """``cls`` from the settings named like its dataclass fields."""
-        return cls(**{f.name: self.values[f.name] for f in dataclasses.fields(cls)})
+        """``cls`` from the settings keyed by its dataclass fields."""
+        return cls(**{f.name: self.values[_key(cls, f.name)] for f in dataclasses.fields(cls)})
 
     def model_config(self) -> ModelConfig:
         return self._build(ModelConfig)
@@ -127,14 +114,7 @@ class RunConfig:
             if not v["manifest_path"]:
                 raise ConfigError("dataset=manifest requires manifest_path")
             return load_manifest(v["manifest_path"], v["image_size"], v["num_classes"])
-        spec = SyntheticSpec(
-            num_classes=v["num_classes"],
-            samples_per_class=v["samples_per_class"],
-            image_size=v["image_size"],
-            noise_std=v["noise_std"],
-            seed=v["data_seed"],
-        )
-        return generate_synthetic(spec)
+        return generate_synthetic(self._build(SyntheticSpec))
 
     def echo(self) -> str:
         return "\n".join(f"{k}={self.values[k]}" for k in sorted(self.values)) + "\n"
@@ -203,13 +183,17 @@ def cmd_train(run: RunConfig, out_dir) -> int:
     return 0
 
 
-def cmd_eval(run: RunConfig, checkpoint) -> int:
+def _load_model(run: RunConfig, checkpoint, command: str) -> Model:
+    """The model in ``checkpoint``, which must match the run's config."""
     if checkpoint is None:
-        raise ConfigError("eval requires --checkpoint")
+        raise ConfigError(f"{command} requires --checkpoint")
     if not os.path.isfile(checkpoint):
         raise CheckpointError(f"checkpoint file not found: {checkpoint}")
-    config = run.model_config()
-    model = load_checkpoint(checkpoint, config)
+    return load_checkpoint(checkpoint, run.model_config())
+
+
+def cmd_eval(run: RunConfig, checkpoint) -> int:
+    model = _load_model(run, checkpoint, "eval")
     data = run.datasets()
     val = data["val"]
     if not len(val.images):
@@ -235,12 +219,8 @@ def _upsample(img: np.ndarray, factor: int) -> np.ndarray:
 
 
 def cmd_heatmap(run: RunConfig, checkpoint, image_path, token, out_dir) -> int:
-    if checkpoint is None:
-        raise ConfigError("heatmap requires --checkpoint")
-    if not os.path.isfile(checkpoint):
-        raise CheckpointError(f"checkpoint file not found: {checkpoint}")
-    config = run.model_config()
-    model = load_checkpoint(checkpoint, config)
+    model = _load_model(run, checkpoint, "heatmap")
+    config = model.config
     if image_path is not None:
         raw = read_ppm(image_path)
         image = Tensor(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .attention import SHARING_MODES
 from .errors import ConfigError
 from .model import Model, ModelConfig, classify
 from .spatial import KERNEL_SIZE
@@ -64,11 +65,11 @@ def attention_cost(tokens: int, dim: int, heads: int, window: int, variant: str,
         raise ConfigError(f"channels {dim} must be divisible by heads {heads}")
     if tokens < 1 or window < 1:
         raise ConfigError(f"tokens and window must be >= 1, got {tokens}, {window}")
+    if sharing_mode not in SHARING_MODES:
+        raise ConfigError(f"unknown sharing_mode {sharing_mode!r}")
     params = 4 * dim * dim + 4 * dim
     if sharing_mode == "shared_qk":
         params -= dim * dim
-    elif sharing_mode != "standard":
-        raise ConfigError(f"unknown sharing_mode {sharing_mode!r}")
     if variant == "windowed":
         if tokens % (window * window):
             raise ConfigError(f"tokens {tokens} not divisible by window area {window * window}")

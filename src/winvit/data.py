@@ -10,6 +10,7 @@ manifest; heatmaps go out as grayscale PPM (P5).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -41,8 +42,8 @@ class SyntheticSpec:
             raise ConfigError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.image_size < 8:
             raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -150,12 +151,12 @@ def _read_ppm_payload(f, nbytes: int) -> bytes:
     return f.read(nbytes)
 
 
-def read_ppm(path) -> np.ndarray:
-    """Binary P6 file -> (3, H, W) float64 in [0, 1]."""
+def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
+    """Binary PNM file with ``magic`` -> (H, W, planes) float64 in [0, 1]."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic != b"P6":
-            raise DataError(f"not a binary P6 PPM (magic {magic!r})")
+        found = f.read(2)
+        if found != magic:
+            raise DataError(f"not a binary {magic.decode()} PPM (magic {found!r})")
         try:
             w, h, maxval = (int(t) for t in _read_ppm_tokens(f, 3))
         except ValueError as exc:
@@ -164,47 +165,40 @@ def read_ppm(path) -> np.ndarray:
             raise DataError(f"bad PPM dimensions {w}x{h}")
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
-        payload = _read_ppm_payload(f, w * h * 3)
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / maxval
+        payload = _read_ppm_payload(f, w * h * planes)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, planes).astype(np.float64) / maxval
+
+
+def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
+    """(H, W) or (H, W, 3) pixels -> binary PNM with ``magic``, maxval 255."""
+    arr = np.ascontiguousarray(pixels.astype(np.uint8))
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+        f.write(arr.tobytes())
+
+
+def read_ppm(path) -> np.ndarray:
+    """Binary P6 file -> (3, H, W) float64 in [0, 1]."""
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1)
+
+
+def read_ppm_p5(path) -> np.ndarray:
+    """Binary P5 file -> (H, W) float64 in [0, 1]."""
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_ppm_p6(path, image: np.ndarray) -> None:
     """(3, H, W) uint8 -> binary color PPM."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise DataError(f"expected (3, H, W) image, got {image.shape}")
-    arr = np.ascontiguousarray(image.transpose(1, 2, 0).astype(np.uint8))
-    with open(path, "wb") as f:
-        f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    _write_pnm(path, "P6", image.transpose(1, 2, 0))
 
 
 def write_ppm_p5(path, image: np.ndarray) -> None:
     """(H, W) uint8 -> binary grayscale PPM."""
     if image.ndim != 2:
         raise DataError(f"expected (H, W) grayscale image, got {image.shape}")
-    arr = np.ascontiguousarray(image.astype(np.uint8))
-    with open(path, "wb") as f:
-        f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
-
-
-def read_ppm_p5(path) -> np.ndarray:
-    """Binary P5 file -> (H, W) float64 in [0, 1]."""
-    with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic != b"P5":
-            raise DataError(f"not a binary P5 PPM (magic {magic!r})")
-        try:
-            w, h, maxval = (int(t) for t in _read_ppm_tokens(f, 3))
-        except ValueError as exc:
-            raise DataError(f"malformed PPM header: {exc}") from exc
-        if w < 1 or h < 1:
-            raise DataError(f"bad PPM dimensions {w}x{h}")
-        if not 0 < maxval <= 255:
-            raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
-        payload = _read_ppm_payload(f, w * h)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
+    _write_pnm(path, "P5", image)
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -10,6 +10,7 @@ tokens followed by one linear layer.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -118,18 +119,20 @@ class Block:
         self.fc2_bias = tc.zeros((c,))
 
     def named_params(self, prefix=""):
+        """(name, tensor) pairs in checkpoint order: the attention
+        sublayer, the spatial gate, then the feed-forward path."""
         yield prefix + "ln1_gamma", self.ln1_gamma
         yield prefix + "ln1_beta", self.ln1_beta
         for name, t in self.attn.named_params():
             yield prefix + "attn." + name, t
+        for name, t in self.sam.named_params():
+            yield prefix + "sam." + name, t
         yield prefix + "ln2_gamma", self.ln2_gamma
         yield prefix + "ln2_beta", self.ln2_beta
         yield prefix + "fc1_weight", self.fc1_weight
         yield prefix + "fc1_bias", self.fc1_bias
         yield prefix + "dw_kernel", self.dw_kernel
         yield prefix + "dw_bias", self.dw_bias
-        for name, t in self.sam.named_params():
-            yield prefix + "sam." + name, t
         yield prefix + "fc2_weight", self.fc2_weight
         yield prefix + "fc2_bias", self.fc2_bias
 
@@ -269,9 +272,10 @@ def classify(
 #
 # magic "WMHV1", u32 version, config record, then tagged sections. Each
 # section is a 4-byte tag plus u32 tensor count plus that many tensors in
-# the binary tensor format. Sections appear as PEMB, then per block ATTN /
-# SAM / FFN (layernorms ride with their sublayer), then HEAD. The bias
-# index map is never written; it is a pure function of the window side.
+# the binary tensor format. Tensors appear in ``Model.named_params`` order,
+# so the sections are PEMB, then per block ATTN / SAM / FFN (layernorms
+# ride with their sublayer), then HEAD. The bias index map is never
+# written; it is a pure function of the window side.
 
 _CONFIG_PACK = "<10qdB"
 # ModelConfig fields in record order; None is the reserved slot, and the
@@ -303,32 +307,21 @@ def _read_config(f) -> ModelConfig:
         raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
 
 
+def _section_tag(name: str) -> str:
+    """The checkpoint section a ``named_params`` entry belongs to."""
+    local = name.split(".", 1)[1] if name.startswith("block") else name
+    for prefix, tag in (("patch_", "PEMB"), ("ln1_", "ATTN"), ("attn.", "ATTN"),
+                        ("sam.", "SAM "), ("head_", "HEAD")):
+        if local.startswith(prefix):
+            return tag
+    return "FFN "
+
+
 def _sections(model: Model):
-    """(tag, [tensor, ...]) in serialization order."""
-    yield "PEMB", [model.patch_weight, model.patch_bias]
-    for block in model.blocks:
-        attn = block.attn
-        attn_tensors = [block.ln1_gamma, block.ln1_beta]
-        if attn.sharing_mode == "shared_qk":
-            attn_tensors.append(attn.w_q)
-        else:
-            attn_tensors.extend([attn.w_q, attn.w_k])
-        attn_tensors.extend(
-            [attn.w_v, attn.w_o, attn.b_q, attn.b_k, attn.b_v, attn.b_o, attn.bias_table]
-        )
-        yield "ATTN", attn_tensors
-        yield "SAM ", [block.sam.conv_kernel, block.sam.conv_bias]
-        yield "FFN ", [
-            block.ln2_gamma,
-            block.ln2_beta,
-            block.fc1_weight,
-            block.fc1_bias,
-            block.dw_kernel,
-            block.dw_bias,
-            block.fc2_weight,
-            block.fc2_bias,
-        ]
-    yield "HEAD", [model.head_weight, model.head_bias]
+    """(tag, [tensor, ...]) in serialization order: runs of consecutive
+    ``named_params`` entries with the same tag."""
+    for tag, run in itertools.groupby(model.named_params(), key=lambda p: _section_tag(p[0])):
+        yield tag, [t for _, t in run]
 
 
 def save_checkpoint(model: Model, path) -> None:

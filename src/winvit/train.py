@@ -46,12 +46,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr_init > self.lr_min >= 0.0:
+        if not (math.isfinite(self.lr_init) and self.lr_init > self.lr_min >= 0.0):
             raise ConfigError(
-                f"need lr_init > lr_min >= 0, got lr_init={self.lr_init}, lr_min={self.lr_min}"
+                f"need finite lr_init > lr_min >= 0, got lr_init={self.lr_init}, lr_min={self.lr_min}"
             )
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 

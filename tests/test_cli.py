@@ -6,6 +6,7 @@ script is wired to the same entry point. The describe table is pinned
 byte-for-byte against a golden file.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 
 from winvit.cli import RunConfig, main
-from winvit.data import read_ppm_p5, write_ppm_p6
+from winvit.data import SyntheticSpec, read_ppm_p5, write_ppm_p6
 from winvit.errors import ConfigError
 from winvit.model import Model, ModelConfig, save_checkpoint
+from winvit.train import TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "describe_desk.txt"
 
@@ -78,6 +80,33 @@ class TestRunConfig:
     def test_dataset_name_checked(self):
         with pytest.raises(ConfigError, match="dataset"):
             RunConfig.load(overrides=["dataset=imagefolder"])
+
+    def test_keys_are_the_dataclass_fields(self):
+        run = RunConfig.load()
+        keys = {"dataset", "manifest_path"}
+        for cls in (ModelConfig, TrainConfig, SyntheticSpec):
+            for f in dataclasses.fields(cls):
+                key = "data_seed" if (cls, f.name) == (SyntheticSpec, "seed") else f.name
+                assert run[key] == f.default, key
+                assert type(run[key]).__name__ == f.type, key
+                keys.add(key)
+        assert set(run.values) == keys
+        assert run.model_config() == ModelConfig()
+        assert run.train_config() == TrainConfig()
+        assert run._build(SyntheticSpec) == SyntheticSpec()
+
+    def test_data_seed_builds_the_dataset_seed(self):
+        run = RunConfig.load(overrides=["data_seed=7", "seed=3"])
+        assert run._build(SyntheticSpec).seed == 7
+        assert run.model_config().seed == 3
+
+    @pytest.mark.parametrize("key,value", [("noise_std", "nan"), ("weight_decay", "inf"),
+                                           ("lr_init", "inf")])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, key, value):
+        code = main(["train", *TINY, "--set", "epochs=1", "--set", f"{key}={value}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

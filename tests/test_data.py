@@ -115,6 +115,11 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigError):
             SyntheticSpec(noise_std=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_noise_std_rejected(self, value):
+        with pytest.raises(ConfigError, match="noise_std"):
+            SyntheticSpec(noise_std=value)
+
     def test_more_than_three_classes_reuse_families(self):
         data = generate_synthetic(
             SyntheticSpec(num_classes=5, samples_per_class=5, image_size=16)

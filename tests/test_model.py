@@ -405,6 +405,7 @@ class TestCheckpoints:
         (dict(image_size=16, patch_size=4, embed_dim=8, depth=2, heads=2, window=2,
               mlp_ratio=2, num_classes=4, dropout_rate=0.25, sharing_mode="shared_qk", seed=9),
          "5beb717ff700881d5aa8e551088f1218546a078117ce65a6b58657194e1939a0", 9318),
+        (dict(depth=0), "8a6197e6241ea7849387c8387ced6097606069283ca972c17be8cc852fd06eba", 50386),
     ]
 
     @pytest.mark.parametrize("fields,digest,size", GOLDEN)

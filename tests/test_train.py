@@ -394,6 +394,16 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainConfig(eval_every=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_decay_rejected(self, value):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            TrainConfig(weight_decay=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lr_init_rejected(self, value):
+        with pytest.raises(ConfigError, match="lr_init"):
+            TrainConfig(lr_init=value)
+
 
 class TestEvaluate:
     def test_untrained_model_is_exactly_chance(self):
