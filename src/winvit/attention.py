@@ -82,16 +82,16 @@ def build_bias_index(window: int) -> np.ndarray:
     return ((delta[0] + m - 1) * (2 * m - 1) + (delta[1] + m - 1)).astype(np.int64)
 
 
-def _regroup(x: Tensor, split: tuple, shape: tuple, op_name: str) -> Tensor:
+def _regroup(x: Tensor, split: tuple, shape: tuple) -> Tensor:
     """One tape node: ``x`` viewed as ``split`` with axes 1 and 2 swapped,
     copied and viewed as ``shape``. The swap is its own inverse."""
     data = np.ascontiguousarray(x.data.reshape(split).swapaxes(1, 2)).reshape(shape)
 
-    def build():
-        swapped, x_shape = (split[0], split[2], split[1], *split[3:]), x.shape
-        return lambda g: (np.ascontiguousarray(g.reshape(swapped).swapaxes(1, 2)).reshape(x_shape),)
+    def bwd(g):
+        swapped = (split[0], split[2], split[1], *split[3:])
+        return (np.ascontiguousarray(g.reshape(swapped).swapaxes(1, 2)).reshape(x.shape),)
 
-    return tc._emit(data, (x,), build, op_name)
+    return tc._emit(data, (x,), bwd)
 
 
 def window_partition(x: Tensor, window: int) -> Tensor:
@@ -108,8 +108,7 @@ def window_partition(x: Tensor, window: int) -> Tensor:
     geom = WindowGeometry(h, w, window)
     b = x.shape[0] if x.ndim == 4 else 1
     m = window
-    return _regroup(x, (b * (h // m), m, w // m, m, c), (b * geom.n_windows, m * m, c),
-                    "window_partition")
+    return _regroup(x, (b * (h // m), m, w // m, m, c), (b * geom.n_windows, m * m, c))
 
 
 def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
@@ -128,8 +127,7 @@ def window_merge(windows: Tensor, geom: WindowGeometry) -> Tensor:
         )
     b = n // geom.n_windows
     shape = (*((b,) if b > 1 else ()), geom.height, geom.width, c)
-    return _regroup(windows, (b * geom.height // m, geom.width // m, m, m, c), shape,
-                    "window_merge")
+    return _regroup(windows, (b * geom.height // m, geom.width // m, m, m, c), shape)
 
 
 class WindowAttentionParams:
@@ -230,7 +228,8 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
     p_mask = tc._dropout_mask(p.shape, p.dtype, drop, rng) if drop else None
     attn = p * p_mask if drop else p
     merged = (attn @ v).swapaxes(-3, -2).reshape(-1, c)
-    out = merged @ params.w_o.data
+    w_o = params.w_o.data
+    out = merged @ w_o
     out += params.b_o.data
     o_mask = tc._dropout_mask(out.shape, out.dtype, drop, rng) if drop else None
     if drop:
@@ -251,37 +250,32 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
         tc._count("mac", 2 * rows * c * c)
         tc._count("elementwise", rows * c * (2 if drop else 1))  # bias, dropout
 
-    def build():
-        w_o = params.w_o.data
+    def bwd(g):
+        g2 = g.reshape(-1, c)
+        if drop:
+            g2 = g2 * o_mask
+        gz = (g2 @ w_o.T).reshape(*lead, t, h, d).swapaxes(-3, -2)
+        gp = gz @ v.swapaxes(-1, -2)
+        if drop:
+            gp *= p_mask
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        g_table = []
+        if bias:
+            gt = np.zeros_like(params.bias_table.data)
+            np.add.at(gt, (slice(None), params.bias_index), gs.reshape(-1, h, t, t).sum(axis=0))
+            g_table.append(-gt if fault else gt)
+        gs *= scale
+        gqkv = np.empty_like(qkv)
+        gq, gk, gv = gqkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
+        gq[...] = gs @ k
+        gk[...] = gs.swapaxes(-1, -2) @ q
+        gv[...] = (p * p_mask if drop else p).swapaxes(-1, -2) @ gz
+        gw = [np.ascontiguousarray(w) for w in np.split(x2.T @ gqkv, 3, axis=1)]
+        gx = (gqkv @ w_qkv.T).reshape(xd.shape)
+        gb = np.split(gqkv.sum(axis=0), 3)
+        return (gx, *gw, merged.T @ g2, *gb, g2.sum(axis=0), *g_table)
 
-        def bwd(g):
-            g2 = g.reshape(-1, c)
-            if drop:
-                g2 = g2 * o_mask
-            gz = (g2 @ w_o.T).reshape(*lead, t, h, d).swapaxes(-3, -2)
-            gp = gz @ v.swapaxes(-1, -2)
-            if drop:
-                gp *= p_mask
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            g_table = []
-            if bias:
-                gt = np.zeros_like(params.bias_table.data)
-                np.add.at(gt, (slice(None), params.bias_index), gs.reshape(-1, h, t, t).sum(axis=0))
-                g_table.append(-gt if fault else gt)
-            gs *= scale
-            gqkv = np.empty_like(qkv)
-            gq, gk, gv = gqkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
-            gq[...] = gs @ k
-            gk[...] = gs.swapaxes(-1, -2) @ q
-            gv[...] = (p * p_mask if drop else p).swapaxes(-1, -2) @ gz
-            gw = [np.ascontiguousarray(w) for w in np.split(x2.T @ gqkv, 3, axis=1)]
-            gx = (gqkv @ w_qkv.T).reshape(xd.shape)
-            gb = np.split(gqkv.sum(axis=0), 3)
-            return (gx, *gw, merged.T @ g2, *gb, g2.sum(axis=0), *g_table)
-
-        return bwd
-
-    return tc._emit(out.reshape(xd.shape), inputs, build, "mha"), scores, attn
+    return tc._emit(out.reshape(xd.shape), inputs, bwd), scores, attn
 
 
 def window_mha_forward(

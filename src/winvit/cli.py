@@ -122,16 +122,19 @@ class RunConfig:
 
 def _ensure_out(out_dir) -> str:
     out = out_dir if out_dir is not None else "winvit_out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
 def cmd_describe(run: RunConfig, out_dir) -> int:
     config = run.model_config()
+    out = _ensure_out(out_dir)
     windowed = model_cost(config, "windowed")
     global_ = model_cost(config, "global")
     print(render_comparison(windowed, global_))
-    out = _ensure_out(out_dir)
     csv_path = os.path.join(out, "describe.csv")
     with open(csv_path, "w") as f:
         f.write("layer,name,params,flops,variant\n")
@@ -156,11 +159,11 @@ def cmd_check(run: RunConfig, f64: bool, fault_bias_sign: bool) -> int:
 
 
 def cmd_train(run: RunConfig, out_dir) -> int:
-    out = _ensure_out(out_dir)
     config = run.model_config()
+    tcfg = run.train_config()
+    out = _ensure_out(out_dir)
     data = run.datasets()
     model = Model(config)
-    tcfg = run.train_config()
     with open(os.path.join(out, "config_resolved.txt"), "w") as f:
         f.write(run.echo())
     state, rows = train_loop(

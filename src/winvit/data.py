@@ -153,7 +153,11 @@ def _read_ppm_payload(f, nbytes: int) -> bytes:
 
 def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
     """Binary PNM file with ``magic`` -> (H, W, planes) float64 in [0, 1]."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open image {path}: {exc}") from exc
+    with f:
         found = f.read(2)
         if found != magic:
             raise DataError(f"not a binary {magic.decode()} PPM (magic {found!r})")

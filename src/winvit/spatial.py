@@ -84,7 +84,20 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
     else:
         out = gate_kept
 
-    def build():
+    def bwd(g):
+        g = np.ascontiguousarray(g)
+        # sum over channels of g * f, without a full-size product
+        dot = "...chw,...chw->...hw" if first else "...c,...c->..."
+        ggate = np.einsum(dot, g, fd) if residual else g
+        gz = ggate.reshape(gate.shape) * gate * (1.0 - gate)
+        gdesc, gk, gb = tc._conv_backward(gz, desc, k, PADDING)
+        gavg = (gdesc[..., 0] / c).reshape(kept)
+        if residual:
+            gf = g * (gate_kept + 1.0)
+            gf += gavg
+        else:
+            gf = np.empty(shape, dtype=g.dtype)
+            gf[...] = gavg
         # flat index of every pixel's first maximal channel
         idx = fd.argmax(axis=channel_axis).reshape(-1)
         pix = np.arange(idx.size)
@@ -92,27 +105,10 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
             flat = pix + pix // (h * w) * ((c - 1) * h * w) + idx * (h * w)
         else:
             flat = pix * c + idx
-        dot = "...chw,...chw->...hw" if first else "...c,...c->..."
+        gf.reshape(-1)[flat] += gdesc[..., 1].reshape(-1)
+        return gf, gk, gb
 
-        def bwd(g):
-            g = np.ascontiguousarray(g)
-            # sum over channels of g * f, without a full-size product
-            ggate = np.einsum(dot, g, fd) if residual else g
-            gz = ggate.reshape(gate.shape) * gate * (1.0 - gate)
-            gdesc, gk, gb = tc._conv_backward(gz, desc, k, PADDING)
-            gavg = (gdesc[..., 0] / c).reshape(kept)
-            if residual:
-                gf = g * (gate_kept + 1.0)
-                gf += gavg
-            else:
-                gf = np.empty(shape, dtype=g.dtype)
-                gf[...] = gavg
-            gf.reshape(-1)[flat] += gdesc[..., 1].reshape(-1)
-            return gf, gk, gb
-
-        return bwd
-
-    return tc._emit(out, (f, kernel, bias), build, "sam_residual" if residual else "sam_map")
+    return tc._emit(out, (f, kernel, bias), bwd)
 
 
 def sam_map(f: Tensor, params: SamParams, channel_axis: int = -3) -> Tensor:

@@ -12,6 +12,13 @@ cost. Both stacks are plain module lists, so recording is per process: a
 tape or counter entered in one thread also records the ops of every other
 thread, and nothing here is meant to run from several threads at once.
 
+An op follows one protocol: compute the forward result as a numpy array,
+tally its cost with ``_count``, define ``bwd(g)`` that maps the output's
+gradient to a tuple holding one gradient (or None) per input, and return
+``_emit(data, inputs, bwd)``. The tape stores ``bwd`` as the node's
+backward; without a tape it is dropped, so work that only the backward
+needs (argsorts, argmax indices) belongs inside ``bwd``.
+
 FLOP convention (documented once, used everywhere): matrix products and
 convolutions count 2 FLOPs per multiply-accumulate under the ``mac``
 category; plain elementwise ops count 1 FLOP per element under
@@ -28,7 +35,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericsError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -41,15 +48,6 @@ _INV_SQRT2PI = 0.3989422804014327
 # the active tapes and counters, innermost last
 _TAPES: list = []
 _COUNTERS: list = []
-
-
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf check run after every op (off by default)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 class Tensor:
@@ -113,29 +111,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
-    # Operator sugar; everything routes through the module-level ops so
-    # recording and counting behave identically either way.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class TapeNode:
     __slots__ = ("output", "inputs", "backward")
@@ -189,14 +164,6 @@ class FlopCounter:
         bucket = self.by_scope.setdefault(label, {})
         bucket[category] = bucket.get(category, 0) + flops
 
-    @contextmanager
-    def scope(self, label: str):
-        self._labels.append(label)
-        try:
-            yield self
-        finally:
-            self._labels.pop()
-
     def scope_flops(self, label: str, category: str | None = None) -> int:
         bucket = self.by_scope.get(label, {})
         if category is None:
@@ -240,17 +207,12 @@ def flop_scope(label: str):
             c._labels.pop()
 
 
-def _emit(data, inputs, backward_builder, op_name: str) -> Tensor:
-    """Wrap an op result: finiteness check, then tape recording.
-
-    ``backward_builder`` is only invoked when a tape is active so the eval
-    path allocates no closures.
-    """
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite values produced by {op_name}")
+def _emit(data, inputs, backward) -> Tensor:
+    """The last step of an op: wrap ``data`` and, under a tape, record a
+    node whose ``backward(g)`` returns one gradient or None per input."""
     out = Tensor(data)
     if _TAPES:
-        _TAPES[-1].nodes.append(TapeNode(out, inputs, backward_builder()))
+        _TAPES[-1].nodes.append(TapeNode(out, inputs, backward))
     return out
 
 
@@ -297,6 +259,10 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
         if gout is None:
             continue
         gins = node.backward(gout)
+        if len(gins) != len(node.inputs):
+            raise ContractError(
+                f"a backward returned {len(gins)} gradients for {len(node.inputs)} inputs"
+            )
         for inp, gin in zip(node.inputs, gins):
             if gin is None:
                 continue
@@ -316,10 +282,6 @@ def zeros(shape, dtype=DEFAULT_DTYPE) -> Tensor:
 
 def ones(shape, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype))
-
-
-def full(shape, value, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype))
 
 
 def trunc_normal(rng: np.random.Generator, shape, std=0.02, dtype=DEFAULT_DTYPE) -> Tensor:
@@ -362,16 +324,15 @@ def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         data = ad + _as_scalar_operand(a, b)
         _count("elementwise", data.size)
-        return _emit(data, (a,), lambda: lambda g: (g,), "add")
+        return _emit(data, (a,), lambda g: (g,))
     bd = b.data
     data = ad + bd
     _count("elementwise", data.size)
 
-    def build():
-        a_shape, b_shape = ad.shape, bd.shape
-        return lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
+    def bwd(g):
+        return _unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape)
 
-    return _emit(data, (a, b), build, "add")
+    return _emit(data, (a, b), bwd)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -379,20 +340,19 @@ def sub(a: Tensor, b) -> Tensor:
         c = _as_scalar_operand(a, b)
         data = a.data - c
         _count("elementwise", data.size)
-        return _emit(data, (a,), lambda: lambda g: (g,), "sub")
+        return _emit(data, (a,), lambda g: (g,))
     data = a.data - b.data
     _count("elementwise", data.size)
 
-    def build():
-        a_shape, b_shape = a.shape, b.shape
-        return lambda g: (_unbroadcast(g, a_shape), -_unbroadcast(g, b_shape))
+    def bwd(g):
+        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
 
-    return _emit(data, (a, b), build, "sub")
+    return _emit(data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
     _count("elementwise", a.size)
-    return _emit(-a.data, (a,), lambda: lambda g: (-g,), "neg")
+    return _emit(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -400,16 +360,15 @@ def mul(a: Tensor, b) -> Tensor:
         c = _as_scalar_operand(a, b)
         data = a.data * c
         _count("elementwise", data.size)
-        return _emit(data, (a,), lambda: lambda g: (g * c,), "mul")
-    data = a.data * b.data
+        return _emit(data, (a,), lambda g: (g * c,))
+    ad, bd = a.data, b.data
+    data = ad * bd
     _count("elementwise", data.size)
 
-    def build():
-        ad, bd = a.data, b.data
-        a_shape, b_shape = a.shape, b.shape
-        return lambda g: (_unbroadcast(g * bd, a_shape), _unbroadcast(g * ad, b_shape))
+    def bwd(g):
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _emit(data, (a, b), build, "mul")
+    return _emit(data, (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -429,40 +388,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(ad, bd)
     _count("mac", 2 * data.size * k)
 
-    def build():
-        def bwd(g):
-            ga = np.matmul(g, bd.swapaxes(-1, -2))
-            if len(b_shape) == 2:
-                gb = ad.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.matmul(ad.swapaxes(-1, -2), g)
-            return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
+    def bwd(g):
+        ga = np.matmul(g, bd.swapaxes(-1, -2))
+        if len(b_shape) == 2:
+            gb = ad.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.matmul(ad.swapaxes(-1, -2), g)
+        return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
-        return bwd
-
-    return _emit(data, (a, b), build, "matmul")
+    return _emit(data, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
 
-    def build():
-        a_shape = a.shape
-        return lambda g: (np.ascontiguousarray(g).reshape(a_shape),)
+    def bwd(g):
+        return (np.ascontiguousarray(g).reshape(a.shape),)
 
-    return _emit(data, (a,), build, "reshape")
+    return _emit(data, (a,), bwd)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = np.ascontiguousarray(a.data.transpose(axes))
 
-    def build():
-        inv = tuple(np.argsort(axes))
-        return lambda g: (np.ascontiguousarray(g.transpose(inv)),)
+    def bwd(g):
+        return (np.ascontiguousarray(g.transpose(tuple(np.argsort(axes)))),)
 
-    return _emit(data, (a,), build, "transpose")
+    return _emit(data, (a,), bwd)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
@@ -470,12 +424,11 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat of an empty list")
     data = np.concatenate([p.data for p in parts], axis=axis)
 
-    def build():
-        sizes = [p.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        return lambda g: tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+    def bwd(g):
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
-    return _emit(data, tuple(parts), build, "concat")
+    return _emit(data, tuple(parts), bwd)
 
 
 def stack(parts: list[Tensor]) -> Tensor:
@@ -484,10 +437,10 @@ def stack(parts: list[Tensor]) -> Tensor:
         raise ShapeError("stack of an empty list")
     data = np.stack([p.data for p in parts], axis=0)
 
-    def build():
-        return lambda g: tuple(g[i] for i in range(len(parts)))
+    def bwd(g):
+        return tuple(g[i] for i in range(len(parts)))
 
-    return _emit(data, tuple(parts), build, "stack")
+    return _emit(data, tuple(parts), bwd)
 
 
 def take_lastdim(table: Tensor, index: np.ndarray) -> Tensor:
@@ -499,17 +452,12 @@ def take_lastdim(table: Tensor, index: np.ndarray) -> Tensor:
         )
     data = table.data[..., index]
 
-    def build():
-        t_shape = table.shape
+    def bwd(g):
+        gt = np.zeros(table.shape, dtype=g.dtype)
+        np.add.at(gt, (..., index), g)
+        return (gt,)
 
-        def bwd(g):
-            gt = np.zeros(t_shape, dtype=g.dtype)
-            np.add.at(gt, (..., index), g)
-            return (gt,)
-
-        return bwd
-
-    return _emit(data, (table,), build, "take_lastdim")
+    return _emit(data, (table,), bwd)
 
 
 def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
@@ -521,22 +469,14 @@ def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
     data = total / count if mean else total
     _count("elementwise", a.size)
 
-    def build():
-        a_shape = a.shape
-        ax = tuple(range(len(a_shape))) if axes is None else (
-            axes if isinstance(axes, tuple) else (axes,)
-        )
+    def bwd(g):
+        if not keepdims:
+            g = np.expand_dims(g, tuple(range(a.ndim)) if axes is None else axes)
+        if mean:
+            g = g / count
+        return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
 
-        def bwd(g):
-            if not keepdims:
-                g = np.expand_dims(g, ax)
-            if mean:
-                g = g / count
-            return (np.broadcast_to(g, a_shape).astype(g.dtype, copy=True),)
-
-        return bwd
-
-    return _emit(data, (a,), build, "reduce_mean" if mean else "reduce_sum")
+    return _emit(data, (a,), bwd)
 
 
 def reduce_sum(a: Tensor, axes=None, keepdims=False) -> Tensor:
@@ -564,11 +504,10 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
     _count("elementwise", a.size)
 
-    def build():
-        y = out
-        return lambda g: (g * y * (1.0 - y),)
+    def bwd(g):
+        return (g * out * (1.0 - out),)
 
-    return _emit(out, (a,), build, "sigmoid")
+    return _emit(out, (a,), bwd)
 
 
 # erf as piecewise Taylor polynomials, one about the left end of each of
@@ -635,14 +574,11 @@ def gelu(a: Tensor) -> Tensor:
         out = 0.5 * x * (1.0 + inner)
     _count("elementwise", a.size)
 
-    def build():
-        def bwd(g):
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            return (g * (0.5 * (1.0 + inner) + x * pdf),)
+    def bwd(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return (g * (0.5 * (1.0 + inner) + x * pdf),)
 
-        return bwd
-
-    return _emit(out, (a,), build, "gelu")
+    return _emit(out, (a,), bwd)
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -655,16 +591,11 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
     _count("softmax", 5 * a.size)
 
-    def build():
-        y = out
+    def bwd(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
 
-        def bwd(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            return (y * (g - dot),)
-
-        return bwd
-
-    return _emit(out, (a,), build, "softmax")
+    return _emit(out, (a,), bwd)
 
 
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -680,27 +611,23 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     var = (d * d).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = d * inv
-    out = xhat * gamma.data + beta.data
+    gd = gamma.data
+    out = xhat * gd + beta.data
     _count("elementwise", xd.size)
 
-    def build():
-        gdat = gamma.data
+    def bwd(g):
+        red = tuple(range(g.ndim - 1))
+        dgamma = (g * xhat).sum(axis=red)
+        dbeta = g.sum(axis=red)
+        dxhat = g * gd
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        return dx, dgamma, dbeta
 
-        def bwd(g):
-            red = tuple(range(g.ndim - 1))
-            dgamma = (g * xhat).sum(axis=red)
-            dbeta = g.sum(axis=red)
-            dxhat = g * gdat
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            return dx, dgamma, dbeta
-
-        return bwd
-
-    return _emit(out, (x, gamma, beta), build, "layernorm")
+    return _emit(out, (x, gamma, beta), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -712,7 +639,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     mask = _dropout_mask(x.shape, x.dtype, rate, rng)
     data = x.data * mask
     _count("elementwise", x.size)
-    return _emit(data, (x,), lambda: lambda g: (g * mask,), "dropout")
+    return _emit(data, (x,), lambda g: (g * mask,))
 
 
 def _dropout_mask(shape, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -816,7 +743,7 @@ def _conv_backward(g: np.ndarray, xb: np.ndarray, k: np.ndarray, padding: int):
     return gx, np.ascontiguousarray(gk), g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
-def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -> Tensor:
+def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     """Shared body of :func:`conv2d` and :func:`depthwise_conv2d` once the
     shapes are validated; the kernel's rank selects dense or depthwise.
     A (H, W, C) input runs as a batch of one."""
@@ -826,16 +753,11 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int, op_name: str) -
     xb = xd.reshape(math.prod(lead), *x_shape[-3:])
     out, k = _conv_forward(xb, kernel.data, bias.data, padding)
 
-    def build():
-        batched = out.shape
+    def bwd(g):
+        gx, gk, gb = _conv_backward(g.reshape(-1, *g.shape[-3:]), xb, k, padding)
+        return gx.reshape(x_shape), gk, gb
 
-        def bwd(g):
-            gx, gk, gb = _conv_backward(g.reshape(batched), xb, k, padding)
-            return gx.reshape(x_shape), gk, gb
-
-        return bwd
-
-    return _emit(out.reshape(*lead, *out.shape[1:]), (x, kernel, bias), build, op_name)
+    return _emit(out.reshape(*lead, *out.shape[1:]), (x, kernel, bias), bwd)
 
 
 def _conv_input(x: Tensor, name: str, layout: str) -> None:
@@ -874,7 +796,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     (:func:`_tap_view`).
     """
     _check_conv(x, kernel, bias, padding, dense=True)
-    return _conv(x, kernel, bias, padding, "conv2d")
+    return _conv(x, kernel, bias, padding)
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
@@ -885,7 +807,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> T
     Same tap view as :func:`conv2d`, one multiply-add per tap.
     """
     _check_conv(x, kernel, bias, padding, dense=False)
-    return _conv(x, kernel, bias, padding, "depthwise_conv2d")
+    return _conv(x, kernel, bias, padding)
 
 
 def channel_pool(x: Tensor, mode: str) -> Tensor:
@@ -899,26 +821,21 @@ def channel_pool(x: Tensor, mode: str) -> Tensor:
         c = x.shape[-3]
         data = x.data.sum(axis=-3, keepdims=True) / c
 
-        def build():
-            return lambda g: (np.broadcast_to(g / c, x.shape).astype(g.dtype, copy=True),)
+        def bwd_avg(g):
+            return (np.broadcast_to(g / c, x.shape).astype(g.dtype, copy=True),)
 
-        return _emit(data, (x,), build, "channel_pool_avg")
+        return _emit(data, (x,), bwd_avg)
 
     data = x.data.max(axis=-3, keepdims=True)
 
-    def build():
+    def bwd(g):
         # gradient flows to the first maximal channel per pixel
         idx = np.argmax(x.data, axis=-3)[..., None, :, :]
-        x_shape = x.shape
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        np.put_along_axis(gx, idx, g, axis=-3)
+        return (gx,)
 
-        def bwd(g):
-            gx = np.zeros(x_shape, dtype=g.dtype)
-            np.put_along_axis(gx, idx, g, axis=-3)
-            return (gx,)
-
-        return bwd
-
-    return _emit(data, (x,), build, "channel_pool_max")
+    return _emit(data, (x,), bwd)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
@@ -943,15 +860,12 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     data = np.asarray((lse - picked).mean(), dtype=x.dtype)
     _count("elementwise", 5 * logits.size)
 
-    def build():
-        def bwd(g):
-            p = np.exp(x - lse)
-            p[np.arange(b), labels] -= 1.0
-            return (g * p / b,)
+    def bwd(g):
+        p = np.exp(x - lse)
+        p[np.arange(b), labels] -= 1.0
+        return (g * p / b,)
 
-        return bwd
-
-    return _emit(data, (logits,), build, "cross_entropy")
+    return _emit(data, (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

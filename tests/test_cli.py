@@ -30,6 +30,14 @@ TINY = [
 ]
 
 
+def assert_one_error_line(capsys, prefix):
+    """stderr is one line starting with ``prefix``; returns stdout."""
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(prefix)
+    return out
+
+
 def tiny_model_config(**overrides):
     kw = dict(image_size=16, patch_size=4, embed_dim=8, depth=1, heads=2,
               window=2, mlp_ratio=2, num_classes=3)
@@ -142,6 +150,12 @@ class TestDescribe:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         assert main(["describe", "--set", "windows=3", "--out", str(tmp_path)]) == 2
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["describe", "--out", str(taken)]) == 2
+        assert assert_one_error_line(capsys, "config error: cannot create output directory") == ""
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"epochs=2\n# caf\xff\n")
@@ -231,6 +245,19 @@ class TestTrainEval:
 
     def test_eval_without_checkpoint_flag_exits_2(self, capsys):
         assert main(["eval", *TINY]) == 2
+
+    def test_train_out_under_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["train", *TINY, "--set", "epochs=1", "--out", str(taken / "x")])
+        assert code == 2
+        assert_one_error_line(capsys, "config error: cannot create output directory")
+
+    def test_train_config_error_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["train", *TINY, "--set", "epochs=0", "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config error:")
+        assert not out.exists()
 
     def test_train_non_utf8_manifest_exits_1(self, tmp_path, capsys):
         manifest = tmp_path / "data.csv"
@@ -341,6 +368,16 @@ class TestHeatmap:
         ])
         assert code == 0
         assert (out / "block0_sam.ppm").is_file()
+
+    def test_missing_query_image_exits_1(self, tmp_path, capsys):
+        ckpt = tmp_path / "fresh.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        code = main([
+            "heatmap", *TINY, "--checkpoint", str(ckpt), "--image", str(tmp_path / "missing.ppm"),
+            "--out", str(tmp_path / "maps"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "error: cannot open image")
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         assert main([

@@ -200,6 +200,11 @@ class TestPpmIO:
         with pytest.raises(DataError, match="bad PPM dimensions"):
             read_ppm_p5(path)
 
+    @pytest.mark.parametrize("reader", [read_ppm, read_ppm_p5])
+    def test_unopenable_path_is_a_data_error(self, tmp_path, reader):
+        for path in (tmp_path / "missing.ppm", tmp_path):
+            with pytest.raises(DataError, match="cannot open image"):
+                reader(path)
 
     @pytest.mark.parametrize("reader, header", [
         (read_ppm, b"P6\n99999999999 99999999999\n255\n"),

@@ -23,7 +23,6 @@ from winvit.errors import (
     CheckpointTruncatedError,
     ConfigError,
     ContractError,
-    NumericsError,
     ShapeError,
 )
 
@@ -147,7 +146,6 @@ class TestTensorBasics:
     def test_constructors(self):
         assert np.all(tc.zeros((4,)).data == 0.0)
         assert np.all(tc.ones((4,)).data == 1.0)
-        assert np.all(tc.full((4,), 2.5).data == 2.5)
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(ContractError):
@@ -161,21 +159,10 @@ class TestTensorBasics:
             # the distribution is not degenerate
             assert t.data.std() > 0.5 * std
 
-    def test_operator_sugar_matches_functions(self):
-        rng = np.random.default_rng(1)
-        a = tc.Tensor(rng.normal(size=(3, 4)))
-        b = tc.Tensor(rng.normal(size=(3, 4)))
-        np.testing.assert_array_equal((a + b).data, tc.add(a, b).data)
-        np.testing.assert_array_equal((a - b).data, tc.sub(a, b).data)
-        np.testing.assert_array_equal((a * b).data, tc.mul(a, b).data)
-        np.testing.assert_array_equal((-a).data, tc.neg(a).data)
-        c = tc.Tensor(rng.normal(size=(4, 2)))
-        np.testing.assert_array_equal((a @ c).data, tc.matmul(a, c).data)
-
     def test_python_scalars_as_operands(self):
         a = tc.Tensor(np.arange(4.0))
-        np.testing.assert_allclose((a + 1.0).data, np.arange(4.0) + 1.0)
-        np.testing.assert_allclose((2.0 * a).data, 2.0 * np.arange(4.0))
+        np.testing.assert_allclose(tc.add(a, 1.0).data, np.arange(4.0) + 1.0)
+        np.testing.assert_allclose(tc.mul(a, 2.0).data, 2.0 * np.arange(4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +620,14 @@ class TestGradients:
         with pytest.raises(ContractError):
             tc.backward(loss, tape)
 
+    def test_backward_rejects_a_gradient_count_unlike_the_inputs(self):
+        a, b = tc.ones((3,)), tc.ones((3,))
+        with tc.Tape() as tape:
+            y = tc._emit(a.data + b.data, (a, b), lambda g: (g,))
+            loss = tc.reduce_sum(y)
+        with pytest.raises(ContractError, match="1 gradients for 2 inputs"):
+            tc.backward(loss, tape)
+
     def test_no_tape_records_nothing(self):
         t = tc.Tape()
         with t:
@@ -964,18 +959,6 @@ class TestTensorSerialization:
 
 
 class TestDebugFacilities:
-    def test_debug_checks_catch_nonfinite(self):
-        tc.set_debug_checks(True)
-        try:
-            bad = tc.Tensor(np.array([1.0, np.inf]))
-            with pytest.raises(NumericsError):
-                tc.add(bad, tc.ones((2,)))
-        finally:
-            tc.set_debug_checks(False)
-        # disabled mode lets the same op through
-        bad = tc.Tensor(np.array([1.0, np.inf]))
-        tc.add(bad, tc.ones((2,)))
-
     def test_shape_errors_name_the_problem(self):
         with pytest.raises(ShapeError):
             tc.matmul(tc.ones((2, 3)), tc.ones((4, 5)))
