@@ -261,8 +261,7 @@ def cmd_heatmap(run: RunConfig, checkpoint, image_path, token, out_dir) -> int:
         for j in range(attn.shape[1]):
             row = attn[win_index, j, pos]
             full = np.zeros((g, g))
-            for q in range(m * m):
-                full[wr * m + q // m, wc * m + q % m] = row[q]
+            full[wr * m:(wr + 1) * m, wc * m:(wc + 1) * m] = row.reshape(m, m)
             path = os.path.join(out, f"block{i}_head{j}.ppm")
             write_ppm_p5(path, _upsample(_to_u8(full), factor))
             written.append(path)

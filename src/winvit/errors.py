@@ -26,7 +26,8 @@ class ContractError(WinvitError):
 
 
 class NumericsError(WinvitError):
-    """A non-finite value was produced while debug checks were enabled."""
+    """A computation produced non-finite values; raised as its subclass
+    :class:`DivergenceError`."""
 
 
 class DivergenceError(NumericsError):

@@ -185,14 +185,12 @@ def patch_embed(image: Tensor, model: Model) -> Tensor:
     s = config.image_size
     if image.ndim not in (3, 4) or image.shape[-3:] != (3, s, s):
         raise ConfigError(f"expected image (3, {s}, {s}) or a batch (B, 3, {s}, {s}), got {image.shape}")
-    lead = image.shape[:-3]
     p = config.patch_size
     g = config.grid
     x = tc.reshape(image, (-1, 3, g, p, g, p))
     x = tc.transpose(x, (0, 2, 4, 1, 3, 5))
-    x = tc.reshape(x, (-1, 3 * p * p))
-    x = tc.add(tc.matmul(x, model.patch_weight), model.patch_bias)
-    return tc.reshape(x, (*lead, g, g, config.embed_dim))
+    x = tc.reshape(x, (*image.shape[:-3], g, g, 3 * p * p))
+    return tc.add(tc.matmul(x, model.patch_weight), model.patch_bias)
 
 
 def block_forward(
@@ -206,38 +204,32 @@ def block_forward(
     """(H, W, C) -> (H, W, C), or a batch (B, H, W, C) -> (B, H, W, C),
     through both residual sublayers.
 
-    Tokens of all images share each matmul, and the windows of all images
-    share one attention call. ``capture``, when given, receives the
-    post-softmax attention weights under "attn", (B*N, heads, M^2, M^2),
-    and the spatial gate map under "sam", (1, H, W) or (B, 1, H, W).
+    The whole block runs on the token grid: the tokens of all images share
+    each matmul, and the windows of all images share one attention call.
+    ``capture``, when given, receives the post-softmax attention weights
+    under "attn", (B*N, heads, M^2, M^2), and the spatial gate map under
+    "sam", (1, H, W) or (B, 1, H, W).
     """
-    lead = x.shape[:-3]
-    h, w, c = x.shape[-3:]
-    geom = WindowGeometry(h, w, config.window)
-
-    tokens = tc.reshape(x, (-1, c))
-    normed = tc.layernorm_lastdim(tokens, block.ln1_gamma, block.ln1_beta)
-    windows = window_partition(tc.reshape(normed, x.shape), config.window)
+    h, w = x.shape[-3:-1]
+    normed = tc.layernorm_lastdim(x, block.ln1_gamma, block.ln1_beta)
     attn_out = window_mha_forward(
-        windows, block.attn, training=training, rng=rng, return_scores=capture is not None
+        window_partition(normed, config.window), block.attn,
+        training=training, rng=rng, return_scores=capture is not None,
     )
     if capture is not None:
         attn_out, _, capture["attn"] = attn_out
-    merged = window_merge(attn_out, geom)
-    tokens = tc.add(tokens, tc.reshape(merged, (-1, c)))
+    # for one image in a (1, H, W, C) batch the merge is (H, W, C), which
+    # the add broadcasts exactly
+    x = tc.add(x, window_merge(attn_out, WindowGeometry(h, w, config.window)))
 
-    normed = tc.layernorm_lastdim(tokens, block.ln2_gamma, block.ln2_beta)
+    normed = tc.layernorm_lastdim(x, block.ln2_gamma, block.ln2_beta)
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
-    rc = hidden.shape[-1]
-    grid = tc.reshape(hidden, (*lead, h, w, rc))
-    grid = tc.depthwise_conv2d(grid, block.dw_kernel, block.dw_bias, padding=1)
+    hidden = tc.depthwise_conv2d(hidden, block.dw_kernel, block.dw_bias, padding=1)
     if capture is not None:
-        gate = sam_map(grid, block.sam, channel_axis=-1)
-        capture["sam"] = tc.reshape(gate, (*lead, 1, h, w))
-    grid = sam_residual(grid, block.sam, channel_axis=-1)
-    hidden = tc.reshape(grid, (-1, rc))
-    projected = tc.add(tc.matmul(hidden, block.fc2_weight), block.fc2_bias)
-    return tc.reshape(tc.add(tokens, projected), x.shape)
+        gate = sam_map(hidden, block.sam, channel_axis=-1)
+        capture["sam"] = tc.reshape(gate, (*x.shape[:-3], 1, h, w))
+    hidden = sam_residual(hidden, block.sam, channel_axis=-1)
+    return tc.add(x, tc.add(tc.matmul(hidden, block.fc2_weight), block.fc2_bias))
 
 
 def classify(
@@ -253,18 +245,14 @@ def classify(
     ``capture``, when given, is filled with one dict per block holding the
     attention weights and spatial gate map (see :func:`block_forward`).
     """
-    config = model.config
     x = patch_embed(image, model)
-    lead = x.shape[:-3]
     for block in model.blocks:
         cap = {} if capture is not None else None
-        x = block_forward(x, block, config, training=training, rng=rng, capture=cap)
+        x = block_forward(x, block, model.config, training=training, rng=rng, capture=cap)
         if capture is not None:
             capture.append(cap)
-    tokens = tc.reshape(x, (*lead, config.tokens, config.embed_dim))
-    pooled = tc.reduce_mean(tokens, axes=-2, keepdims=True)
-    logits = tc.add(tc.matmul(pooled, model.head_weight), model.head_bias)
-    return tc.reshape(logits, (*lead, config.num_classes))
+    pooled = tc.reduce_mean(x, axes=(-3, -2))
+    return tc.add(tc.matmul(pooled, model.head_weight), model.head_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -372,28 +372,36 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: ``(..., m, k) @ (..., k, n)``.
+    """Matrix product ``a @ b``; counts ``2 * k * n`` FLOPs per row of ``a``.
 
-    Leading axes broadcast; gradients are reduced back to each operand's
-    shape. A 2-D ``b`` shared by a batched ``a`` gets its gradient from one
-    GEMM over all rows. Counts ``2 * m * k * n`` FLOPs per matrix pair.
+    A 2-D ``b`` (k, n) is a weight shared by every row: ``a`` (..., k) of
+    any rank >= 1 folds its leading axes into rows, and the forward and
+    both backward products each run as one GEMM over ``a.reshape(-1, k)``.
+    A higher-rank ``b`` is the batched ``(..., m, k) @ (..., k, n)``, whose
+    leading axes broadcast; gradients are reduced back to each operand's
+    shape.
     """
     ad, bd = a.data, b.data
     a_shape, b_shape = ad.shape, bd.shape
-    if len(a_shape) < 2 or len(b_shape) < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a_shape} @ {b_shape}")
+    fold = len(b_shape) == 2
+    if len(b_shape) < 2 or len(a_shape) < (1 if fold else 2):
+        raise ShapeError(f"matmul operand ranks do not fit: {a_shape} @ {b_shape}")
     k = a_shape[-1]
     if k != b_shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a_shape} @ {b_shape}")
-    data = np.matmul(ad, bd)
+    if fold:
+        rows = ad.reshape(-1, k)
+        data = (rows @ bd).reshape(*a_shape[:-1], b_shape[1])
+    else:
+        data = np.matmul(ad, bd)
     _count("mac", 2 * data.size * k)
 
     def bwd(g):
+        if fold:
+            g = g.reshape(-1, b_shape[1])
+            return (g @ bd.T).reshape(a_shape), rows.T @ g
         ga = np.matmul(g, bd.swapaxes(-1, -2))
-        if len(b_shape) == 2:
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.matmul(ad.swapaxes(-1, -2), g)
+        gb = np.matmul(ad.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
 
     return _emit(data, (a, b), bwd)
@@ -474,7 +482,9 @@ def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
             g = np.expand_dims(g, tuple(range(a.ndim)) if axes is None else axes)
         if mean:
             g = g / count
-        return (np.broadcast_to(g, a.shape).astype(g.dtype, copy=True),)
+        # C order: astype would keep the broadcast's axis order, and later
+        # sums over this gradient would run in that order
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return _emit(data, (a,), bwd)
 
@@ -869,7 +879,7 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# serialization and debugging
+# serialization
 
 
 def write_tensor(t: Tensor, f) -> None:

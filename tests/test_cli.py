@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from winvit.cli import RunConfig, main
-from winvit.data import SyntheticSpec, read_ppm_p5, write_ppm_p6
+from winvit.data import SyntheticSpec, bilinear_resize, read_ppm, read_ppm_p5, write_ppm_p6
 from winvit.errors import ConfigError
-from winvit.model import Model, ModelConfig, save_checkpoint
+from winvit.model import Model, ModelConfig, classify, load_checkpoint, save_checkpoint
+from winvit.tensor import Tensor
 from winvit.train import TrainConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "describe_desk.txt"
@@ -333,6 +334,38 @@ class TestHeatmap:
         for name in ("block0_head0.ppm", "block0_head1.ppm"):
             img = read_ppm_p5(out / name)
             assert img.min() == 0.0 and img.max() == 1.0
+
+    def test_attention_row_placed_in_query_window(self, tmp_path):
+        # token 13 of the 4x4 grid is (row 3, col 1): window (1, 0) of the
+        # 2x2 windows, position 3 inside it; not the default centre token
+        rng = np.random.default_rng(192)
+        model = Model(tiny_model_config())
+        for _, t in model.named_params():
+            t.data[...] = rng.normal(scale=0.5, size=t.shape).astype(t.dtype)
+        ckpt = tmp_path / "noisy.wmh"
+        save_checkpoint(model, ckpt)
+        img_path = tmp_path / "query.ppm"
+        write_ppm_p6(img_path, rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint8))
+        out = tmp_path / "maps"
+        assert main([
+            "heatmap", *TINY, "--checkpoint", str(ckpt), "--image", str(img_path),
+            "--token", "13", "--out", str(out),
+        ]) == 0
+
+        image = bilinear_resize(read_ppm(img_path), 16, 16).astype(np.float32)
+        capture = []
+        classify(Tensor(image), load_checkpoint(ckpt), capture=capture)
+        attn = capture[0]["attn"].data  # (4 windows, 2 heads, 4, 4)
+        for j in range(2):
+            grid = read_ppm_p5(out / f"block0_head{j}.ppm")[::4, ::4]  # undo the x4 upsample
+            outside = np.ones((4, 4), dtype=bool)
+            outside[2:4, 0:2] = False
+            assert np.all(grid[outside] == 0.0)
+            row = attn[2, j, 3].astype(np.float64)
+            # the map's minimum is an outside 0, so its gray levels are row / max
+            levels = np.round(row / row.max() * 255.0)
+            assert len(np.unique(levels)) == 4  # a transposed block would not match
+            np.testing.assert_array_equal(np.round(grid[2:4, 0:2] * 255.0), levels.reshape(2, 2))
 
     def test_query_token_reported(self, tmp_path, capsys):
         ckpt = tmp_path / "fresh.wmh"

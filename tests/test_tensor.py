@@ -483,6 +483,38 @@ class TestGradients:
         # a 2-D right operand shared by every matrix of a batched left one
         _fd_single(tc.matmul, [(2, 2, 3, 4), (4, 2)], seed=350)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3, 4)], ids=["k", "m_k", "b_h_w_k"])
+    def test_shared_weight_folds_leading_axes(self, lead, dtype):
+        # a 2-D b takes (..., k) rows: the product, both gradients and the
+        # MAC count are those of the 2-D a.reshape(-1, k) @ b
+        k, n = 6, 3
+        rng = np.random.default_rng(360)
+        a = rng.normal(size=(*lead, k)).astype(dtype)
+        b = rng.normal(size=(k, n)).astype(dtype)
+        g = rng.normal(size=(*lead, n)).astype(dtype)
+        rows = a.reshape(-1, k)
+        runs = []
+        for x, gout in ((a, g), (rows, g.reshape(-1, n))):
+            with tc.Tape() as tape, tc.FlopCounter() as fc:
+                out = tc.matmul(tc.Tensor(x), tc.Tensor(b))
+            runs.append((out.data, *tape.nodes[0].backward(gout), fc.mac_flops))
+        (out, ga, gb, macs), (_, ga_rows, gb_rows, _) = runs
+
+        def same_bits(x, y):
+            return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+        assert same_bits(out, (rows @ b).reshape(*lead, n))
+        assert same_bits(ga, ga_rows.reshape(a.shape))
+        assert same_bits(gb, gb_rows)
+        assert macs == 2 * rows.shape[0] * k * n
+
+    def test_vector_needs_a_2d_weight(self):
+        with pytest.raises(ShapeError):
+            tc.matmul(tc.ones((4,)), tc.ones((2, 4, 3)))
+        with pytest.raises(ShapeError):
+            tc.matmul(tc.ones((3, 4)), tc.ones((4,)))
+
     def test_reshape_transpose_grads(self):
         _fd_single(
             lambda a: tc.transpose(tc.reshape(a, (2, 6)), (1, 0)), [(3, 4)], seed=35
