@@ -234,21 +234,12 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
     o_mask = tc._dropout_mask(out.shape, out.dtype, drop, rng) if drop else None
     if drop:
         out *= o_mask
-    if tc._COUNTERS:  # the tally of the separate ops this node stands for
-        rows, n_scores = x2.shape[0], scores.size
-        for _ in range(3):  # q, k, v projections and their biases
-            tc._count("mac", 2 * rows * c * c)
-            tc._count("elementwise", rows * c)
+    if tc._COUNTERS:  # the MACs of the separate products this node stands for
+        tc._count(4 * 2 * x2.shape[0] * c * c)  # q, k, v and output projections
         with tc.flop_scope("scores"):
-            tc._count("mac", 2 * n_scores * d)
-        tc._count("elementwise", n_scores * (2 if bias else 1))  # scale, bias
-        tc._count("softmax", 5 * n_scores)
-        if drop:
-            tc._count("elementwise", n_scores)
+            tc._count(2 * scores.size * d)
         with tc.flop_scope("weighted_sum"):
-            tc._count("mac", 2 * n_scores * d)
-        tc._count("mac", 2 * rows * c * c)
-        tc._count("elementwise", rows * c * (2 if drop else 1))  # bias, dropout
+            tc._count(2 * scores.size * d)
 
     def bwd(g):
         g2 = g.reshape(-1, c)

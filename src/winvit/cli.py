@@ -129,6 +129,14 @@ def _ensure_out(out_dir) -> str:
     return out
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_describe(run: RunConfig, out_dir) -> int:
     config = run.model_config()
     out = _ensure_out(out_dir)
@@ -136,10 +144,8 @@ def cmd_describe(run: RunConfig, out_dir) -> int:
     global_ = model_cost(config, "global")
     print(render_comparison(windowed, global_))
     csv_path = os.path.join(out, "describe.csv")
-    with open(csv_path, "w") as f:
-        f.write("layer,name,params,flops,variant\n")
-        for report in (windowed, global_):
-            f.write("\n".join(report.csv_lines()) + "\n")
+    rows = ["layer,name,params,flops,variant", *windowed.csv_lines(), *global_.csv_lines()]
+    _write_text(csv_path, "\n".join(rows) + "\n")
     print(f"\ncsv written to {csv_path}")
     return 0
 
@@ -164,8 +170,7 @@ def cmd_train(run: RunConfig, out_dir) -> int:
     out = _ensure_out(out_dir)
     data = run.datasets()
     model = Model(config)
-    with open(os.path.join(out, "config_resolved.txt"), "w") as f:
-        f.write(run.echo())
+    _write_text(os.path.join(out, "config_resolved.txt"), run.echo())
     state, rows = train_loop(
         model,
         data["train"],
@@ -190,8 +195,6 @@ def _load_model(run: RunConfig, checkpoint, command: str) -> Model:
     """The model in ``checkpoint``, which must match the run's config."""
     if checkpoint is None:
         raise ConfigError(f"{command} requires --checkpoint")
-    if not os.path.isfile(checkpoint):
-        raise CheckpointError(f"checkpoint file not found: {checkpoint}")
     return load_checkpoint(checkpoint, run.model_config())
 
 

@@ -1,10 +1,10 @@
 """Analytical parameter/FLOPs accounting, reconciled against a live counter.
 
-Conventions, used consistently here and in the runtime counter: FLOPs are
-2x multiply-accumulates, and only matmul/conv MACs enter the per-layer
-rows. Elementwise work (residual adds, normalization, activations,
-dropout) and softmax are tallied in separate buckets so the MAC column
-reconciles exactly against an instrumented forward pass.
+Convention, shared with the runtime counter: FLOPs are 2x the
+multiply-accumulates of matmuls and convolutions, and nothing else is
+counted (not residual adds, normalization, activations, dropout or
+softmax), so the FLOP total reconciles exactly against an instrumented
+forward pass.
 
 For L tokens, C channels, h heads, window side M:
 
@@ -140,8 +140,7 @@ def render_comparison(windowed: CostReport, global_: CostReport) -> str:
         f"{'flops(win)':>14} {'flops(glob)':>14}"
     )
     lines = [
-        "cost model: FLOPs = 2 x MACs (matmul/conv only; elementwise and",
-        "softmax work is tallied separately by the runtime counter)",
+        "cost model: FLOPs = 2 x MACs of matmuls and convolutions; nothing else is counted",
         "",
         header,
         "-" * len(header),

@@ -346,7 +346,11 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
     reported against the first section whose tensor shapes do not fit.
     Without it, the config stored in the file is used.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
+    with f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"bad checkpoint magic {magic!r}")

@@ -72,15 +72,12 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
     np.divide(np.add.reduce(fd, axis=channel_axis), c, out=desc[..., 0])
     np.maximum.reduce(fd, axis=channel_axis, out=desc[..., 1])
     desc = desc.reshape(n, h, w, 2)
-    tc._count("elementwise", 2 * fd.size)  # the two pools
     z, k = tc._conv_forward(desc, kernel.data, bias.data, PADDING)
     gate = tc._sigmoid(z)
-    tc._count("elementwise", gate.size)
     gate_kept = gate.reshape(kept)
     if residual:
         out = fd * gate_kept
         out += fd
-        tc._count("elementwise", 2 * fd.size)  # the product and the sum
     else:
         out = gate_kept
 

@@ -13,18 +13,17 @@ tape or counter entered in one thread also records the ops of every other
 thread, and nothing here is meant to run from several threads at once.
 
 An op follows one protocol: compute the forward result as a numpy array,
-tally its cost with ``_count``, define ``bwd(g)`` that maps the output's
-gradient to a tuple holding one gradient (or None) per input, and return
-``_emit(data, inputs, bwd)``. The tape stores ``bwd`` as the node's
+tally its MACs (if any) with ``_count``, define ``bwd(g)`` that maps the
+output's gradient to a tuple holding one gradient (or None) per input, and
+return ``_emit(data, inputs, bwd)``. The tape stores ``bwd`` as the node's
 backward; without a tape it is dropped, so work that only the backward
 needs (argsorts, argmax indices) belongs inside ``bwd``.
 
-FLOP convention (documented once, used everywhere): matrix products and
-convolutions count 2 FLOPs per multiply-accumulate under the ``mac``
-category; plain elementwise ops count 1 FLOP per element under
-``elementwise``; softmax counts 5 per element under ``softmax``. The
-``mac`` category is exact and is the one reconciled against analytical
-counts; the other buckets are bookkeeping estimates.
+FLOP convention (documented once, used everywhere): a counter tallies only
+matrix products and convolutions, at 2 FLOPs per multiply-accumulate, under
+the ``mac`` category. That tally is exact and is reconciled against the
+analytical counts of ``costs.model_cost``; elementwise ops, normalization
+and softmax are not counted.
 """
 
 from __future__ import annotations
@@ -35,7 +34,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import (
+    CheckpointError,
+    CheckpointMagicError,
+    CheckpointTruncatedError,
+    ConfigError,
+    ContractError,
+    ShapeError,
+)
 
 DEFAULT_DTYPE = np.float32
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
@@ -142,7 +148,8 @@ class Tape:
 
 
 class FlopCounter:
-    """Per-invocation FLOP tally, split by category and optional scope label."""
+    """Per-invocation MAC FLOP tally, split by category and optional scope
+    label. Library ops add only to ``mac``; see the module's FLOP convention."""
 
     def __init__(self):
         self.by_category: dict[str, int] = {}
@@ -175,22 +182,14 @@ class FlopCounter:
         return self.by_category.get("mac", 0)
 
     @property
-    def elementwise_flops(self) -> int:
-        return self.by_category.get("elementwise", 0)
-
-    @property
-    def softmax_flops(self) -> int:
-        return self.by_category.get("softmax", 0)
-
-    @property
     def total_flops(self) -> int:
         return sum(self.by_category.values())
 
 
-def _count(category: str, flops: int) -> None:
-    if _COUNTERS:
-        for counter in _COUNTERS:
-            counter.add(category, flops)
+def _count(flops: int) -> None:
+    """Add ``flops`` (2 per multiply-accumulate) to every active counter."""
+    for counter in _COUNTERS:
+        counter.add("mac", flops)
 
 
 @contextmanager
@@ -323,11 +322,9 @@ def add(a: Tensor, b) -> Tensor:
     ad = a.data
     if not isinstance(b, Tensor):
         data = ad + _as_scalar_operand(a, b)
-        _count("elementwise", data.size)
         return _emit(data, (a,), lambda g: (g,))
     bd = b.data
     data = ad + bd
-    _count("elementwise", data.size)
 
     def bwd(g):
         return _unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape)
@@ -339,10 +336,8 @@ def sub(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         c = _as_scalar_operand(a, b)
         data = a.data - c
-        _count("elementwise", data.size)
         return _emit(data, (a,), lambda g: (g,))
     data = a.data - b.data
-    _count("elementwise", data.size)
 
     def bwd(g):
         return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
@@ -351,7 +346,6 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    _count("elementwise", a.size)
     return _emit(-a.data, (a,), lambda g: (-g,))
 
 
@@ -359,11 +353,9 @@ def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         c = _as_scalar_operand(a, b)
         data = a.data * c
-        _count("elementwise", data.size)
         return _emit(data, (a,), lambda g: (g * c,))
     ad, bd = a.data, b.data
     data = ad * bd
-    _count("elementwise", data.size)
 
     def bwd(g):
         return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
@@ -394,7 +386,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = (rows @ bd).reshape(*a_shape[:-1], b_shape[1])
     else:
         data = np.matmul(ad, bd)
-    _count("mac", 2 * data.size * k)
+    _count(2 * data.size * k)
 
     def bwd(g):
         if fold:
@@ -475,7 +467,6 @@ def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
     total = a.data.sum(axis=axes, keepdims=keepdims)
     count = a.size // total.size
     data = total / count if mean else total
-    _count("elementwise", a.size)
 
     def bwd(g):
         if not keepdims:
@@ -512,7 +503,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
-    _count("elementwise", a.size)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -582,7 +572,6 @@ def gelu(a: Tensor) -> Tensor:
     inner = _erf(x * _INV_SQRT2)
     with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0 = NaN
         out = 0.5 * x * (1.0 + inner)
-    _count("elementwise", a.size)
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -599,7 +588,6 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-    _count("softmax", 5 * a.size)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -623,7 +611,6 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     xhat = d * inv
     gd = gamma.data
     out = xhat * gd + beta.data
-    _count("elementwise", xd.size)
 
     def bwd(g):
         red = tuple(range(g.ndim - 1))
@@ -648,7 +635,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     mask = _dropout_mask(x.shape, x.dtype, rate, rng)
     data = x.data * mask
-    _count("elementwise", x.size)
     return _emit(data, (x,), lambda g: (g * mask,))
 
 
@@ -720,8 +706,7 @@ def _conv_forward(xb: np.ndarray, kd: np.ndarray, bd: np.ndarray, padding: int):
     # OIHW -> (kh, kw, Cin, Cout) and CHW -> (kh, kw, C)
     k = np.ascontiguousarray(kd.transpose((2, 3, 1, 0) if dense else (1, 2, 0)))
     out = _slide(xb, k, padding, padding) + bd
-    _count("mac", 2 * out.size * (kd.size // kd.shape[0]))
-    _count("elementwise", out.size)
+    _count(2 * out.size * (kd.size // kd.shape[0]))
     return out, k
 
 
@@ -826,7 +811,6 @@ def channel_pool(x: Tensor, mode: str) -> Tensor:
     _conv_input(x, "channel_pool", "C, H, W")
     if mode not in ("avg", "max"):
         raise ConfigError(f"channel_pool mode must be 'avg' or 'max', got {mode!r}")
-    _count("elementwise", x.size)
     if mode == "avg":
         c = x.shape[-3]
         data = x.data.sum(axis=-3, keepdims=True) / c
@@ -868,7 +852,6 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     picked = x[np.arange(b), labels][:, None]
     data = np.asarray((lse - picked).mean(), dtype=x.dtype)
-    _count("elementwise", 5 * logits.size)
 
     def bwd(g):
         p = np.exp(x - lse)
@@ -905,8 +888,6 @@ def read_tensor(f) -> Tensor:
     The rank and dims are checked against the bytes left in ``f`` before
     anything of that size is read or allocated.
     """
-    from .errors import CheckpointError, CheckpointMagicError, CheckpointTruncatedError
-
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise CheckpointMagicError(f"bad tensor magic {magic!r}")

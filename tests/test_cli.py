@@ -157,6 +157,11 @@ class TestDescribe:
         assert main(["describe", "--out", str(taken)]) == 2
         assert assert_one_error_line(capsys, "config error: cannot create output directory") == ""
 
+    def test_csv_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "describe.csv").mkdir()
+        assert main(["describe", "--out", str(tmp_path)]) == 2
+        assert_one_error_line(capsys, "config error: cannot write")
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"epochs=2\n# caf\xff\n")
@@ -236,6 +241,11 @@ class TestTrainEval:
         assert code == 3
         assert "checkpoint error" in capsys.readouterr().err
 
+    def test_eval_directory_checkpoint_exits_3(self, tmp_path, capsys):
+        code = main(["eval", *TINY, "--checkpoint", str(tmp_path)])
+        assert code == 3
+        assert_one_error_line(capsys, "checkpoint error: cannot open checkpoint")
+
     def test_eval_wrong_config_exits_3(self, tmp_path, capsys):
         ckpt = tmp_path / "tiny.wmh"
         save_checkpoint(Model(tiny_model_config()), ckpt)
@@ -253,6 +263,12 @@ class TestTrainEval:
         code = main(["train", *TINY, "--set", "epochs=1", "--out", str(taken / "x")])
         assert code == 2
         assert_one_error_line(capsys, "config error: cannot create output directory")
+
+    def test_train_config_record_unwritable_exits_2(self, tmp_path, capsys):
+        (tmp_path / "config_resolved.txt").mkdir()
+        code = main(["train", *TINY, "--set", "epochs=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert_one_error_line(capsys, "config error: cannot write")
 
     def test_train_config_error_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "d"

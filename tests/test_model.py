@@ -562,6 +562,14 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.wmh"]
 
+    @pytest.mark.parametrize("name", ["absent.wmh", "."])
+    def test_unopenable_path_raises_checkpoint_error(self, tmp_path, name):
+        # a missing file and a directory, not a raw FileNotFoundError or
+        # IsADirectoryError
+        path = tmp_path / name
+        with pytest.raises(CheckpointError, match="cannot open checkpoint"):
+            load_checkpoint(path)
+
     def test_save_into_missing_directory(self, tmp_path):
         path = tmp_path / "absent" / "model.wmh"
         with pytest.raises(CheckpointError):
