@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, GeometryError, WinvitError
 from .model import Model, ModelConfig, classify, load_checkpoint, save_checkpoint
-from .tensor import Tensor
+from .tensor import Tensor, write_file
 from .train import TrainConfig, evaluate, train_loop
 
 
@@ -129,14 +129,6 @@ def _ensure_out(out_dir) -> str:
     return out
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
 def cmd_describe(run: RunConfig, out_dir) -> int:
     config = run.model_config()
     out = _ensure_out(out_dir)
@@ -145,7 +137,8 @@ def cmd_describe(run: RunConfig, out_dir) -> int:
     print(render_comparison(windowed, global_))
     csv_path = os.path.join(out, "describe.csv")
     rows = ["layer,name,params,flops,variant", *windowed.csv_lines(), *global_.csv_lines()]
-    _write_text(csv_path, "\n".join(rows) + "\n")
+    text = ("\n".join(rows) + "\n").encode()
+    write_file(csv_path, lambda f: f.write(text), ConfigError)
     print(f"\ncsv written to {csv_path}")
     return 0
 
@@ -170,7 +163,8 @@ def cmd_train(run: RunConfig, out_dir) -> int:
     out = _ensure_out(out_dir)
     data = run.datasets()
     model = Model(config)
-    _write_text(os.path.join(out, "config_resolved.txt"), run.echo())
+    echo = run.echo().encode(errors="surrogateescape")  # keeps argv bytes that are not UTF-8
+    write_file(os.path.join(out, "config_resolved.txt"), lambda f: f.write(echo), ConfigError)
     state, rows = train_loop(
         model,
         data["train"],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor
+from .tensor import Tensor, read_exact, write_file
 
 PATTERN_FAMILIES = ("stripes", "checker", "radial")
 
@@ -142,15 +142,6 @@ def _read_ppm_tokens(f, count: int) -> list:
     return tokens
 
 
-def _read_ppm_payload(f, nbytes: int) -> bytes:
-    """The ``nbytes`` pixel bytes after the header, checked against the
-    file size first so a huge declared size allocates nothing."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if nbytes > left:
-        raise DataError(f"PPM payload truncated: {left} of {nbytes} bytes")
-    return f.read(nbytes)
-
-
 def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
     """Binary PNM file with ``magic`` -> (H, W, planes) float64 in [0, 1]."""
     try:
@@ -169,16 +160,16 @@ def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
             raise DataError(f"bad PPM dimensions {w}x{h}")
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
-        payload = _read_ppm_payload(f, w * h * planes)
+        payload = read_exact(f, w * h * planes, DataError, "PPM payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, planes).astype(np.float64) / maxval
 
 
 def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
-    """(H, W) or (H, W, 3) pixels -> binary PNM with ``magic``, maxval 255."""
+    """(H, W) or (H, W, 3) pixels -> binary PNM with ``magic``, maxval 255,
+    written through :func:`tensor.write_file`; OS errors raise ConfigError."""
     arr = np.ascontiguousarray(pixels.astype(np.uint8))
-    with open(path, "wb") as f:
-        f.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        f.write(arr.tobytes())
+    header = f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    write_file(path, lambda f: f.write(header + arr.tobytes()), ConfigError)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -273,8 +264,6 @@ def load_manifest(path, image_size: int, num_classes: int | None = None) -> dict
             if split not in ("train", "val"):
                 raise DataError(f"manifest row {rownum}: split must be train or val, got {split!r}")
             full = filepath if os.path.isabs(filepath) else os.path.join(base, filepath)
-            if not os.path.isfile(full):
-                raise DataError(f"manifest row {rownum}: image file not found: {full}")
             try:
                 img = read_ppm(full)
             except DataError as exc:

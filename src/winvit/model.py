@@ -9,10 +9,8 @@ tokens followed by one linear layer.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -279,10 +277,7 @@ def _write_config(f, config: ModelConfig) -> None:
 
 
 def _read_config(f) -> ModelConfig:
-    size = struct.calcsize(_CONFIG_PACK)
-    raw = f.read(size)
-    if len(raw) < size:
-        raise CheckpointTruncatedError("config record truncated")
+    raw = tc.read_exact(f, struct.calcsize(_CONFIG_PACK), CheckpointTruncatedError, "config record")
     values = dict(zip(_CONFIG_FIELDS, struct.unpack(_CONFIG_PACK, raw)))
     del values[None]
     sharing = values["sharing_mode"]
@@ -313,30 +308,21 @@ def _sections(model: Model):
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write ``model`` to a temporary file beside ``path``, fsync it and
-    rename it over ``path``. On failure a file already at ``path`` is left
-    intact; OS errors raise :class:`CheckpointError`."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            _write_config(f, model.config)
-            for tag, tensors in _sections(model):
-                f.write(tag.encode("ascii"))
-                f.write(struct.pack("<I", len(tensors)))
-                for t in tensors:
-                    tc.write_tensor(t, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
-    finally:
-        # gone after a successful replace; a leftover after any failure
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+    """Write ``model`` to ``path`` through :func:`tensor.write_file`: on
+    failure a file already at ``path`` is left intact; OS errors raise
+    :class:`CheckpointError`."""
+
+    def write(f):
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        _write_config(f, model.config)
+        for tag, tensors in _sections(model):
+            f.write(tag.encode("ascii"))
+            f.write(struct.pack("<I", len(tensors)))
+            for t in tensors:
+                tc.write_tensor(t, f)  # looked up per call, so tests can patch it
+
+    tc.write_file(path, write, CheckpointError)
 
 
 def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
@@ -354,27 +340,20 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"bad checkpoint magic {magic!r}")
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise CheckpointTruncatedError("version field truncated")
-        (version,) = struct.unpack("<I", raw)
+        (version,) = struct.unpack("<I", tc.read_exact(f, 4, CheckpointTruncatedError, "version field"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         stored = _read_config(f)
         target = config if config is not None else stored
         model = Model(target)
         for tag, tensors in _sections(model):
-            raw_tag = f.read(4)
-            if len(raw_tag) < 4:
-                raise CheckpointTruncatedError(f"section tag truncated (expected {tag!r})")
+            raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:
                 raise CheckpointShapeError(
                     f"section {raw_tag!r} where {tag!r} expected; "
                     "checkpoint does not match the requested config"
                 )
-            raw_count = f.read(4)
-            if len(raw_count) < 4:
-                raise CheckpointTruncatedError(f"section {tag!r} header truncated")
+            raw_count = tc.read_exact(f, 4, CheckpointTruncatedError, f"section {tag!r} header")
             (count,) = struct.unpack("<I", raw_count)
             if count != len(tensors):
                 raise CheckpointShapeError(

@@ -29,8 +29,9 @@ and softmax are not counted.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -863,6 +864,46 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Binary reads go through ``read_exact`` and every output except the streamed
+# metrics log through ``write_file``: a checkpoint that cannot be written
+# raises CheckpointError, any other output ConfigError, as a bad --out does.
+
+
+def read_exact(f, n: int, error, what: str) -> bytes:
+    """The next ``n`` bytes of the seekable binary file ``f``. ``n`` is
+    checked against the bytes left before anything is read, so a huge
+    declared size allocates nothing. A shortfall, or a stream that cannot
+    seek (a pipe), raises ``error``."""
+    try:
+        here = f.tell()
+        left = f.seek(0, 2) - here
+        f.seek(here)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    if n > left:
+        raise error(f"{what} truncated: {left} of {n} bytes")
+    return f.read(n)
+
+
+def write_file(path, write, error) -> None:
+    """Call ``write(f)`` on a binary temporary file beside ``path``, fsync it
+    and rename it over ``path``. On failure a file already at ``path`` is
+    left intact and no temporary file remains; an OSError raises ``error``."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise error(f"cannot write {path}: {exc}") from exc
+    finally:
+        # gone after a successful replace; a leftover after any failure
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 def write_tensor(t: Tensor, f) -> None:
@@ -875,41 +916,20 @@ def write_tensor(t: Tensor, f) -> None:
     f.write(t.data.astype(f"<f{width}", copy=False).tobytes())
 
 
-def _bytes_left(f) -> int:
-    here = f.tell()
-    end = f.seek(0, 2)
-    f.seek(here)
-    return end - here
-
-
 def read_tensor(f) -> Tensor:
-    """Inverse of :func:`write_tensor` on a seekable binary file.
-
-    The rank and dims are checked against the bytes left in ``f`` before
-    anything of that size is read or allocated.
-    """
+    """Inverse of :func:`write_tensor` on a seekable binary file; each size
+    is checked against the bytes left before it is read or allocated."""
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise CheckpointMagicError(f"bad tensor magic {magic!r}")
-    head = f.read(5)
-    if len(head) < 5:
-        raise CheckpointTruncatedError("tensor header truncated")
-    rank, width = struct.unpack("<IB", head)
+    rank, width = struct.unpack("<IB", read_exact(f, 5, CheckpointTruncatedError, "tensor header"))
     if width not in (4, 8):
         raise CheckpointMagicError(f"unsupported item width {width}")
-    if 8 * rank > _bytes_left(f):
-        raise CheckpointTruncatedError(f"tensor dims truncated (rank {rank})")
-    dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
+    dims = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, CheckpointTruncatedError, "tensor dims"))
     if 0 in dims:
         raise CheckpointError(f"tensor dims {dims} hold an empty axis")
-    count = width
-    for d in dims:
-        count *= d
-    left = _bytes_left(f)
-    if count > left:
-        raise CheckpointTruncatedError(f"tensor payload truncated: {left} of {count} bytes")
-    arr = np.frombuffer(f.read(count), dtype=f"<f{width}").reshape(dims)
-    return Tensor(arr.copy())
+    payload = read_exact(f, width * math.prod(dims), CheckpointTruncatedError, "tensor payload")
+    return Tensor(np.frombuffer(payload, dtype=f"<f{width}").reshape(dims).copy())
 
 
 # ---------------------------------------------------------------------------

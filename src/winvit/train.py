@@ -208,51 +208,55 @@ def train_loop(
 
     rows = [METRICS_HEADER]
     # a row reaches the file as soon as it exists, so a run that raises
-    # keeps the header and the row of every step it finished
-    with open(os.devnull if metrics_path is None else metrics_path, "w") as log:
-        log.write(METRICS_HEADER + "\n")
-        initial_loss = None
-        high_loss_streak = 0
-        for _epoch in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                lr = cosine_lr(state.step, total_steps, config.lr_init, config.lr_min)
-                images = Tensor(np.stack([train_set.images[i].data for i in batch]))
-                labels = np.array([train_set.labels[i] for i in batch])
-                with Tape() as tape:
-                    logits = classify(images, model, training=True, rng=rng)
-                    loss = cross_entropy(logits, labels)
-                grads = backward(loss, tape)
-                loss_val = loss.item()
+    # keeps the header and the row of every step it finished. The handler
+    # spans the whole `with`: closing after a failed flush fails again.
+    try:
+        with open(os.devnull if metrics_path is None else metrics_path, "w") as log:
+            log.write(METRICS_HEADER + "\n")
+            initial_loss = None
+            high_loss_streak = 0
+            for _epoch in range(config.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    batch = order[start : start + config.batch_size]
+                    lr = cosine_lr(state.step, total_steps, config.lr_init, config.lr_min)
+                    images = Tensor(np.stack([train_set.images[i].data for i in batch]))
+                    labels = np.array([train_set.labels[i] for i in batch])
+                    with Tape() as tape:
+                        logits = classify(images, model, training=True, rng=rng)
+                        loss = cross_entropy(logits, labels)
+                    grads = backward(loss, tape)
+                    loss_val = loss.item()
 
-                if not math.isfinite(loss_val):
-                    raise DivergenceError(
-                        f"non-finite loss {loss_val} at step {state.step}"
-                    )
-                if initial_loss is None:
-                    initial_loss = loss_val
-                if loss_val > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
-                    high_loss_streak += 1
-                    if high_loss_streak >= DIVERGENCE_PATIENCE:
+                    if not math.isfinite(loss_val):
                         raise DivergenceError(
-                            f"loss {loss_val:.4g} stayed above {DIVERGENCE_FACTOR}x the initial "
-                            f"{initial_loss:.4g} for {DIVERGENCE_PATIENCE} consecutive steps"
+                            f"non-finite loss {loss_val} at step {state.step}"
                         )
-                else:
-                    high_loss_streak = 0
+                    if initial_loss is None:
+                        initial_loss = loss_val
+                    if loss_val > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
+                        high_loss_streak += 1
+                        if high_loss_streak >= DIVERGENCE_PATIENCE:
+                            raise DivergenceError(
+                                f"loss {loss_val:.4g} stayed above {DIVERGENCE_FACTOR}x the initial "
+                                f"{initial_loss:.4g} for {DIVERGENCE_PATIENCE} consecutive steps"
+                            )
+                    else:
+                        high_loss_streak = 0
 
-                adamw_step(state, grads, lr, weight_decay=config.weight_decay)
+                    adamw_step(state, grads, lr, weight_decay=config.weight_decay)
 
-                measured = None
-                if state.step % eval_every == 0 or state.step == total_steps:
-                    if len(val_set.images):
-                        _, measured = evaluate(model, val_set)
-                    if checkpoint_dir is not None:
-                        save_checkpoint(
-                            model, os.path.join(checkpoint_dir, f"ckpt_step{state.step}.wmh")
-                        )
-                rows.append(_format_row(state.step, lr, loss_val, measured))
-                log.write(rows[-1] + "\n")
-                log.flush()
+                    measured = None
+                    if state.step % eval_every == 0 or state.step == total_steps:
+                        if len(val_set.images):
+                            _, measured = evaluate(model, val_set)
+                        if checkpoint_dir is not None:
+                            save_checkpoint(
+                                model, os.path.join(checkpoint_dir, f"ckpt_step{state.step}.wmh")
+                            )
+                    rows.append(_format_row(state.step, lr, loss_val, measured))
+                    log.write(rows[-1] + "\n")
+                    log.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {metrics_path}: {exc}") from exc
     return state, rows

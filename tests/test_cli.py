@@ -270,6 +270,14 @@ class TestTrainEval:
         assert code == 2
         assert_one_error_line(capsys, "config error: cannot write")
 
+    def test_config_record_keeps_argv_bytes_that_are_not_utf8(self, tmp_path):
+        # Python decodes such argv bytes to lone surrogates; the record
+        # writes the original bytes back instead of raising UnicodeEncodeError
+        code = main(["train", *TINY, "--set", "epochs=1", "--set", "manifest_path=x\udcff",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert b"\nmanifest_path=x\xff\n" in (tmp_path / "config_resolved.txt").read_bytes()
+
     def test_train_config_error_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["train", *TINY, "--set", "epochs=0", "--out", str(out)]) == 2
@@ -433,6 +441,77 @@ class TestHeatmap:
             "heatmap", *TINY, "--checkpoint", str(tmp_path / "no.wmh"),
             "--out", str(tmp_path / "maps"),
         ]) == 3
+
+
+# ---------------------------------------------------------------------------
+# output faults
+
+
+def run_with_fault(tmp_path, monkeypatch, command, target, fault):
+    """Run ``command`` with ``--out`` at tmp_path/out, where ``target``
+    already holds b"old", while ``fault`` ("replace" or "fsync") raises
+    OSError(28); os.replace fails only when it renames onto ``target``.
+    Returns the exit code."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / target).write_bytes(b"old")
+    args = {
+        "describe": ["describe"],
+        "train": ["train", *TINY, "--set", "epochs=1"],
+        "heatmap": ["heatmap", *TINY, "--checkpoint", str(tmp_path / "fresh.wmh")],
+    }[command]
+    if command == "heatmap":
+        save_checkpoint(Model(tiny_model_config()), tmp_path / "fresh.wmh")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == target:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    def fsync(fd):
+        raise OSError(28, "No space left on device")
+
+    if fault == "replace":
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        monkeypatch.setattr(os, "fsync", fsync)
+    code = main([*args, "--out", str(out)])
+    monkeypatch.undo()
+    assert (out / target).read_bytes() == b"old"
+    assert not list(out.glob("*.tmp"))
+    return code
+
+
+class TestOutputFaults:
+    @pytest.mark.parametrize("command, target, code, prefix", [
+        ("describe", "describe.csv", 2, "config error: cannot write"),
+        ("train", "config_resolved.txt", 2, "config error: cannot write"),
+        ("train", "checkpoint.wmh", 3, "checkpoint error: cannot write"),
+        ("heatmap", "block0_sam.ppm", 2, "config error: cannot write"),
+    ])
+    def test_failed_rename(self, tmp_path, capsys, monkeypatch, command, target, code, prefix):
+        assert run_with_fault(tmp_path, monkeypatch, command, target, "replace") == code
+        assert_one_error_line(capsys, prefix)
+
+    # the first file each command writes is the one whose fsync fails
+    @pytest.mark.parametrize("command, target", [
+        ("describe", "describe.csv"),
+        ("train", "config_resolved.txt"),
+        ("heatmap", "block0_sam.ppm"),
+    ])
+    def test_failed_fsync(self, tmp_path, capsys, monkeypatch, command, target):
+        assert run_with_fault(tmp_path, monkeypatch, command, target, "fsync") == 2
+        assert_one_error_line(capsys, "config error: cannot write")
+
+    def test_heatmap_map_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "fresh.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        out = tmp_path / "maps"
+        (out / "block0_sam.ppm").mkdir(parents=True)
+        code = main(["heatmap", *TINY, "--checkpoint", str(ckpt), "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys, "config error: cannot write")
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,16 @@ class TestPpmIO:
             with pytest.raises(DataError, match="cannot open image"):
                 reader(path)
 
+    @pytest.mark.parametrize("writer, image", [
+        (write_ppm_p6, np.zeros((3, 2, 2), dtype=np.uint8)),
+        (write_ppm_p5, np.zeros((2, 2), dtype=np.uint8)),
+    ])
+    def test_unwritable_path_is_a_config_error(self, tmp_path, writer, image):
+        (tmp_path / "taken.ppm").mkdir()
+        with pytest.raises(ConfigError, match="cannot write"):
+            writer(tmp_path / "taken.ppm", image)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.ppm"]
+
     @pytest.mark.parametrize("reader, header", [
         (read_ppm, b"P6\n99999999999 99999999999\n255\n"),
         (read_ppm_p5, b"P5\n99999999999 99999999999\n255\n"),
@@ -299,11 +309,13 @@ class TestManifest:
 
     def test_errors_name_the_row(self, tmp_path):
         make_ppm(tmp_path / "ok.ppm")
+        (tmp_path / "subdir").mkdir()
         cases = [
             ("ok.ppm,0\n", "row 1"),  # wrong column count
             ("ok.ppm,zero,train\n", "row 1"),  # non-integer label
             ("ok.ppm,0,test\n", "row 1"),  # unknown split
             ("missing.ppm,0,train\n", "row 1"),  # file not found
+            ("subdir,0,train\n", "row 1: cannot open image"),  # a directory
             ("ok.ppm,0,train\nok.ppm,-1,val\n", "row 2"),  # negative label
         ]
         for content, needle in cases:

@@ -7,6 +7,7 @@ itself. Gradient claims are checked with central finite differences.
 
 import io
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from winvit.errors import (
     CheckpointTruncatedError,
     ConfigError,
     ContractError,
+    DataError,
     ShapeError,
 )
 
@@ -976,6 +978,57 @@ class TestTensorSerialization:
         raw = b"WMHT" + struct.pack("<IB", 1, 2) + struct.pack("<Q", 1) + b"\x00\x00"
         with pytest.raises(CheckpointMagicError):
             tc.read_tensor(io.BytesIO(raw))
+
+
+class TestReadExact:
+    def test_exact_reads_advance_to_the_end(self):
+        f = io.BytesIO(b"abcdef")
+        assert tc.read_exact(f, 2, DataError, "head") == b"ab"
+        assert tc.read_exact(f, 4, DataError, "rest") == b"cdef"
+        assert tc.read_exact(f, 0, DataError, "nothing") == b""
+
+    def test_short_read_raises_the_given_error(self):
+        f = io.BytesIO(b"abc")
+        f.seek(1)
+        with pytest.raises(CheckpointTruncatedError, match="^thing truncated: 2 of 5 bytes$"):
+            tc.read_exact(f, 5, CheckpointTruncatedError, "thing")
+        assert f.tell() == 1
+
+    def test_huge_size_raises_before_reading(self):
+        class NoRead(io.BytesIO):
+            def read(self, *args):
+                raise AssertionError("read called")
+
+        with pytest.raises(DataError, match=f"payload truncated: 4 of {2**62} bytes"):
+            tc.read_exact(NoRead(b"WMHT"), 2**62, DataError, "payload")
+
+    def test_unseekable_stream_raises_the_given_error(self):
+        r, w = os.pipe()
+        os.write(w, b"abcd")
+        os.close(w)
+        with open(r, "rb") as f, pytest.raises(DataError, match="cannot read pixels"):
+            tc.read_exact(f, 4, DataError, "pixels")
+
+
+class TestWriteFile:
+    def test_writes_the_bytes(self, tmp_path):
+        path = tmp_path / "out.bin"
+        tc.write_file(path, lambda f: f.write(b"payload"), ConfigError)
+        assert path.read_bytes() == b"payload"
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def half_then_full(f):
+            f.write(b"ne")
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(ConfigError, match="No space left") as exc:
+            tc.write_file(path, half_then_full, ConfigError)
+        assert str(exc.value).startswith(f"cannot write {path}: ")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 # ---------------------------------------------------------------------------

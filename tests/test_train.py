@@ -7,6 +7,7 @@ data, checking determinism and the overfit-one-sample sanity bar.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -299,6 +300,21 @@ class TestTrainLoop:
         lines = cut.read_text().split("\n")
         assert lines[-1] == ""  # every row is complete
         assert lines[:-1] == full.read_text().split("\n")[: 1 + k]
+
+    @pytest.mark.parametrize("target", ["directory", "/dev/full"])
+    def test_unwritable_metrics_log_is_a_config_error(self, tmp_path, target):
+        # a directory fails the open; /dev/full opens and fails the first flush
+        path = tmp_path / "metrics.csv"
+        if target == "directory":
+            path.mkdir()
+        elif os.path.exists(target):
+            path.symlink_to(target)
+        else:
+            pytest.skip(f"{target} does not exist")
+        data = tiny_data()
+        with pytest.raises(ConfigError, match="cannot write .*metrics.csv"):
+            train_loop(Model(ModelConfig(**TINY_MODEL)), data["train"], data["val"],
+                       TrainConfig(epochs=1, batch_size=4), metrics_path=path)
 
     def test_eval_every_and_checkpoints(self, tmp_path):
         data = tiny_data()
