@@ -72,7 +72,7 @@ class RunConfig:
 
         if config_path is not None:
             try:
-                with open(config_path, encoding="utf-8") as f:
+                with open(config_path, encoding="utf-8-sig") as f:
                     lines = f.readlines()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc

@@ -10,6 +10,7 @@ manifest; heatmaps go out as grayscale PPM (P5).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -145,10 +146,11 @@ def _read_ppm_tokens(f, count: int) -> list:
 def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
     """Binary PNM file with ``magic`` -> (H, W, planes) float64 in [0, 1]."""
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise DataError(f"cannot open image {path}: {exc}") from exc
-    with f:
+    with io.BytesIO(raw) as f:
         found = f.read(2)
         if found != magic:
             raise DataError(f"not a binary {magic.decode()} PPM (magic {found!r})")
@@ -240,7 +242,7 @@ def load_manifest(path, image_size: int, num_classes: int | None = None) -> dict
     max_label = -1
     try:
         # undecodable bytes survive as surrogates and are reported per row
-        f = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+        f = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot open manifest {path}: {exc}") from exc
     with f:

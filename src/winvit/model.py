@@ -9,6 +9,7 @@ tokens followed by one linear layer.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import struct
@@ -333,10 +334,11 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
     Without it, the config stored in the file is used.
     """
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
-    with f:
+    with io.BytesIO(raw) as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"bad checkpoint magic {magic!r}")

@@ -8,9 +8,11 @@ ever updated in place, and only by the optimizer.
 
 Recording is contextual: entering a :class:`Tape` makes subsequent ops
 append nodes to it, entering a :class:`FlopCounter` makes them tally their
-cost. Both stacks are plain module lists, so recording is per process: a
-tape or counter entered in one thread also records the ops of every other
-thread, and nothing here is meant to run from several threads at once.
+cost, and entering :func:`flop_scope` labels that cost. The three stacks,
+``_TAPES``, ``_COUNTERS`` and ``_SCOPES``, are plain module lists, so
+recording is per process: a tape, counter or label entered in one thread
+also applies to the ops of every other thread, and nothing here is meant
+to run from several threads at once.
 
 An op follows one protocol: compute the forward result as a numpy array,
 tally its MACs (if any) with ``_count``, define ``bwd(g)`` that maps the
@@ -20,8 +22,8 @@ backward; without a tape it is dropped, so work that only the backward
 needs (argsorts, argmax indices) belongs inside ``bwd``.
 
 FLOP convention (documented once, used everywhere): a counter tallies only
-matrix products and convolutions, at 2 FLOPs per multiply-accumulate, under
-the ``mac`` category. That tally is exact and is reconciled against the
+matrix products and convolutions, at 2 FLOPs per multiply-accumulate, per
+``flop_scope`` label. That tally is exact and is reconciled against the
 analytical counts of ``costs.model_cost``; elementwise ops, normalization
 and softmax are not counted.
 """
@@ -52,9 +54,10 @@ TENSOR_MAGIC = b"WMHT"
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-# the active tapes and counters, innermost last
+# the active tapes, counters and flop_scope labels, innermost last
 _TAPES: list = []
 _COUNTERS: list = []
+_SCOPES: list = []
 
 
 class Tensor:
@@ -149,13 +152,11 @@ class Tape:
 
 
 class FlopCounter:
-    """Per-invocation MAC FLOP tally, split by category and optional scope
-    label. Library ops add only to ``mac``; see the module's FLOP convention."""
+    """Per-invocation MAC FLOP tally, keyed by the innermost ``flop_scope``
+    label ("" outside any scope); see the module's FLOP convention."""
 
     def __init__(self):
-        self.by_category: dict[str, int] = {}
-        self.by_scope: dict[str, dict[str, int]] = {}
-        self._labels: list[str] = []
+        self.by_scope: dict[str, int] = {}
 
     def __enter__(self):
         _COUNTERS.append(self)
@@ -166,45 +167,32 @@ class FlopCounter:
         assert popped is self
         return False
 
-    def add(self, category: str, flops: int) -> None:
-        self.by_category[category] = self.by_category.get(category, 0) + flops
-        label = self._labels[-1] if self._labels else ""
-        bucket = self.by_scope.setdefault(label, {})
-        bucket[category] = bucket.get(category, 0) + flops
-
-    def scope_flops(self, label: str, category: str | None = None) -> int:
-        bucket = self.by_scope.get(label, {})
-        if category is None:
-            return sum(bucket.values())
-        return bucket.get(category, 0)
+    def scope_flops(self, label: str, category: str = "mac") -> int:
+        """MAC FLOPs under ``label``; no other category is counted."""
+        return self.by_scope.get(label, 0) if category == "mac" else 0
 
     @property
     def mac_flops(self) -> int:
-        return self.by_category.get("mac", 0)
-
-    @property
-    def total_flops(self) -> int:
-        return sum(self.by_category.values())
+        return sum(self.by_scope.values())
 
 
 def _count(flops: int) -> None:
-    """Add ``flops`` (2 per multiply-accumulate) to every active counter."""
+    """Add ``flops`` (2 per multiply-accumulate) to every active counter
+    under the innermost scope label."""
+    label = _SCOPES[-1] if _SCOPES else ""
     for counter in _COUNTERS:
-        counter.add("mac", flops)
+        counter.by_scope[label] = counter.by_scope.get(label, 0) + flops
 
 
 @contextmanager
 def flop_scope(label: str):
-    """Label ops on every active counter; lets library code tag phases
-    (e.g. attention scores) without holding a counter reference."""
-    counters = list(_COUNTERS)
-    for c in counters:
-        c._labels.append(label)
+    """Label the ops run inside it (e.g. attention scores), so library code
+    tags phases without holding a counter reference."""
+    _SCOPES.append(label)
     try:
         yield
     finally:
-        for c in counters:
-            c._labels.pop()
+        _SCOPES.pop()
 
 
 def _emit(data, inputs, backward) -> Tensor:
@@ -865,9 +853,11 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Binary reads go through ``read_exact`` and every output except the streamed
-# metrics log through ``write_file``: a checkpoint that cannot be written
-# raises CheckpointError, any other output ConfigError, as a bad --out does.
+# A binary reader loads the whole file and parses an io.BytesIO of it through
+# ``read_exact``, whose seeks would drop a file's read buffer and fail on a
+# pipe. Every output except the streamed metrics log goes through
+# ``write_file``: a checkpoint that cannot be written raises CheckpointError,
+# any other output ConfigError, as a bad --out does.
 
 
 def read_exact(f, n: int, error, what: str) -> bytes:

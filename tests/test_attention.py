@@ -617,7 +617,6 @@ class TestFusedCore:
         for training in (False, True):
             p, x = random_case(rng, windowed, mode, dropout_rate=0.3)
             fused, composed = run_both(x, p, windowed, training=training, seed=4)
-            assert fused[4].by_category == composed[4].by_category
             assert fused[4].by_scope == composed[4].by_scope
 
     @pytest.mark.parametrize("windowed,mode", CASES)

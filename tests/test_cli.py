@@ -6,8 +6,10 @@ script is wired to the same entry point. The describe table is pinned
 byte-for-byte against a golden file.
 """
 
+import builtins
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,11 @@ class TestRunConfig:
         assert run["epochs"] == 2  # --set beats the file
         assert run["seed"] == 4  # --seed beats everything
         assert run["lr_init"] == 1e-3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfimage_size=32\n")
+        assert RunConfig.load(config_path=cfg)["image_size"] == 32
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -426,6 +433,25 @@ class TestHeatmap:
         assert code == 0
         assert (out / "block0_sam.ppm").is_file()
 
+    def test_query_image_piped_through_stdin(self, tmp_path):
+        # a pipe cannot seek; the image is read whole before it is parsed
+        ckpt = tmp_path / "fresh.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        img_path = tmp_path / "query.ppm"
+        rng = np.random.default_rng(193)
+        write_ppm_p6(img_path, rng.integers(0, 256, size=(3, 20, 20)).astype(np.uint8))
+        args = ["heatmap", *TINY, "--checkpoint", str(ckpt), "--token", "13"]
+        assert main([*args, "--image", str(img_path), "--out", str(tmp_path / "file")]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "winvit.cli", *args, "--image", "/dev/stdin",
+             "--out", str(tmp_path / "pipe")],
+            input=img_path.read_bytes(),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("block0_sam.ppm", "block0_head0.ppm", "block0_head1.ppm"):
+            assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
     def test_missing_query_image_exits_1(self, tmp_path, capsys):
         ckpt = tmp_path / "fresh.wmh"
         save_checkpoint(Model(tiny_model_config()), ckpt)
@@ -447,6 +473,18 @@ class TestHeatmap:
 # output faults
 
 
+def command_args(tmp_path, command):
+    """argv for a tiny run of ``command``, without ``--out``; heatmap reads
+    a fresh checkpoint saved at tmp_path/fresh.wmh."""
+    if command == "heatmap":
+        save_checkpoint(Model(tiny_model_config()), tmp_path / "fresh.wmh")
+    return {
+        "describe": ["describe"],
+        "train": ["train", *TINY, "--set", "epochs=1"],
+        "heatmap": ["heatmap", *TINY, "--checkpoint", str(tmp_path / "fresh.wmh")],
+    }[command]
+
+
 def run_with_fault(tmp_path, monkeypatch, command, target, fault):
     """Run ``command`` with ``--out`` at tmp_path/out, where ``target``
     already holds b"old", while ``fault`` ("replace" or "fsync") raises
@@ -455,13 +493,7 @@ def run_with_fault(tmp_path, monkeypatch, command, target, fault):
     out = tmp_path / "out"
     out.mkdir()
     (out / target).write_bytes(b"old")
-    args = {
-        "describe": ["describe"],
-        "train": ["train", *TINY, "--set", "epochs=1"],
-        "heatmap": ["heatmap", *TINY, "--checkpoint", str(tmp_path / "fresh.wmh")],
-    }[command]
-    if command == "heatmap":
-        save_checkpoint(Model(tiny_model_config()), tmp_path / "fresh.wmh")
+    args = command_args(tmp_path, command)
     real_replace = os.replace
 
     def replace(src, dst):
@@ -503,6 +535,65 @@ class TestOutputFaults:
     def test_failed_fsync(self, tmp_path, capsys, monkeypatch, command, target):
         assert run_with_fault(tmp_path, monkeypatch, command, target, "fsync") == 2
         assert_one_error_line(capsys, "config error: cannot write")
+
+    @pytest.mark.parametrize("command", ["describe", "train", "heatmap"])
+    def test_each_failed_open_for_writing(self, tmp_path, capsys, monkeypatch, command):
+        # the k-th open for writing under --out fails, for k = 1, 2, ...
+        # until the command succeeds; each output is opened once, so each
+        # is the failed target of exactly one run
+        args = command_args(tmp_path, command)
+        real_open = builtins.open
+        targets, outs = [], []
+        while True:
+            out = tmp_path / f"out{len(outs)}"
+            outs.append(out)
+            opens = []
+
+            def failing_open(file, mode="r", *rest, **kw):
+                if (isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+")
+                        and os.path.abspath(file).startswith(f"{out}{os.sep}")):
+                    opens.append(file)
+                    if len(opens) == len(outs):
+                        raise OSError(28, "No space left on device")
+                return real_open(file, mode, *rest, **kw)
+
+            monkeypatch.setattr(builtins, "open", failing_open)
+            code = main([*args, "--out", str(out)])
+            monkeypatch.undo()
+            if len(opens) < len(outs):
+                assert code == 0 and capsys.readouterr().err == ""
+                break
+            target = re.sub(r"\.\d+\.tmp$", "", os.fspath(opens[-1]))  # write_file's temporary
+            kind = "checkpoint" if target.endswith(".wmh") else "config"
+            assert code == (3 if kind == "checkpoint" else 2)
+            assert_one_error_line(capsys, f"{kind} error: cannot write {target}: ")
+            targets.append(os.path.basename(target))
+        done = {p.name: p.read_bytes() for p in outs[-1].iterdir()}
+        assert sorted(targets) == sorted(done)
+        # a failed run leaves only whole outputs: the metrics log holds
+        # whole rows, every other file the bytes of the run that succeeded
+        for out in outs[:-1]:
+            for p in out.iterdir():
+                if p.name == "metrics.csv":
+                    assert done[p.name].startswith(p.read_bytes())
+                    assert p.read_bytes().endswith(b"\n")
+                else:
+                    assert p.read_bytes() == done[p.name], p
+
+    @pytest.mark.parametrize("command", ["describe", "train", "heatmap"])
+    def test_failed_makedirs(self, tmp_path, capsys, monkeypatch, command):
+        args = command_args(tmp_path, command)
+
+        def makedirs(*_, **__):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "makedirs", makedirs)
+        out = tmp_path / "out"
+        code = main([*args, "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 2
+        assert_one_error_line(capsys, "config error: cannot create output directory")
+        assert not out.exists()
 
     def test_heatmap_map_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "fresh.wmh"

@@ -97,8 +97,6 @@ class TestModelCost:
         )
         _, counter = instrumented_forward(model, img)
         assert counter.mac_flops == report.total_flops
-        # the counter tallies MACs only; no estimate bucket rides along
-        assert list(counter.by_category) == ["mac"]
 
     def test_mac_total_matches_on_other_shapes(self):
         for cfg in (

@@ -300,6 +300,14 @@ class TestManifest:
         data = load_manifest(manifest, image_size=8)
         assert len(data["train"]) == 1
 
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        make_ppm(tmp_path / "a.ppm")
+        manifest = tmp_path / "data.csv"
+        manifest.write_bytes(b"\xef\xbb\xbffilepath,label,split\na.ppm,0,train\n")
+        data = load_manifest(manifest, image_size=8)
+        assert data["train"].labels == [0]
+
     def test_class_names_span_labels(self, tmp_path):
         make_ppm(tmp_path / "a.ppm")
         manifest = tmp_path / "data.csv"

@@ -701,7 +701,7 @@ class TestFlopCounter:
             tc.matmul(a, b)
         with tc.FlopCounter() as single:
             tc.matmul(a, b)
-        assert fc.total_flops == 2 * single.total_flops
+        assert fc.mac_flops == 2 * single.mac_flops
 
     def test_scope_labels_attribute_flops(self):
         a = tc.ones((2, 2))
@@ -720,8 +720,33 @@ class TestFlopCounter:
         with tc.FlopCounter() as outer:
             with tc.FlopCounter() as inner:
                 tc.matmul(a, b)
-        assert inner.total_flops == 2 * 2 * 4 * 3
-        assert outer.total_flops == 2 * 2 * 4 * 3
+        assert inner.mac_flops == 2 * 2 * 4 * 3
+        assert outer.mac_flops == 2 * 2 * 4 * 3
+
+    def test_counter_entered_inside_a_scope_books_under_its_label(self):
+        a = tc.ones((2, 2))
+        with tc.flop_scope("outer"):
+            with tc.FlopCounter() as fc:
+                tc.matmul(a, a)
+        assert fc.by_scope == {"outer": 2 * 2 * 2 * 2}
+
+    def test_nested_scopes_book_to_the_innermost(self):
+        a = tc.ones((2, 2))
+        with tc.FlopCounter() as fc:
+            with tc.flop_scope("outer"):
+                tc.matmul(a, a)
+                with tc.flop_scope("inner"):
+                    tc.matmul(a, a)
+                    tc.matmul(a, a)
+            tc.matmul(a, a)
+        assert fc.by_scope == {"outer": 16, "inner": 32, "": 16}
+        assert fc.mac_flops == 64
+
+    def test_scope_stack_unwinds_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with tc.flop_scope("outer"), tc.flop_scope("inner"):
+                raise RuntimeError("boom")
+        assert tc._SCOPES == []
 
     def test_conv_flops_formula(self):
         x = tc.ones((2, 5, 5))
