@@ -160,8 +160,8 @@ def cmd_check(run: RunConfig, f64: bool, fault_bias_sign: bool) -> int:
 def cmd_train(run: RunConfig, out_dir) -> int:
     config = run.model_config()
     tcfg = run.train_config()
-    out = _ensure_out(out_dir)
     data = run.datasets()
+    out = _ensure_out(out_dir)
     model = Model(config)
     echo = run.echo().encode(errors="surrogateescape")  # keeps argv bytes that are not UTF-8
     write_file(os.path.join(out, "config_resolved.txt"), lambda f: f.write(echo), ConfigError)

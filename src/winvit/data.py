@@ -45,6 +45,8 @@ class SyntheticSpec:
             raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -163,7 +165,10 @@ def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
         if not 0 < maxval <= 255:
             raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
         payload = read_exact(f, w * h * planes, DataError, "PPM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, planes).astype(np.float64) / maxval
+    samples = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, planes)
+    if samples.max() > maxval:
+        raise DataError(f"PPM sample {samples.max()} exceeds maxval {maxval}")
+    return samples.astype(np.float64) / maxval
 
 
 def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:

@@ -74,6 +74,8 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.sharing_mode not in SHARING_MODES:
             raise ConfigError(f"sharing_mode must be one of {SHARING_MODES}, got {self.sharing_mode!r}")
+        if not 0 <= self.seed < 2**63:  # the checkpoint stores it as an int64
+            raise ConfigError(f"seed must lie in [0, 2**63), got {self.seed}")
 
     @property
     def grid(self) -> int:
@@ -346,8 +348,16 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         stored = _read_config(f)
-        target = config if config is not None else stored
-        model = Model(target)
+        if config is None:
+            from .costs import model_cost  # costs imports this module
+
+            # the stored config must fit the bytes left before anything is
+            # built; depth goes first (a block writes three 8-byte section
+            # headers), which keeps model_cost's per-block walk bounded
+            left = len(raw) - f.tell()
+            if stored.depth * 24 > left or model_cost(stored, "windowed").total_params * 4 > left:
+                raise CheckpointTruncatedError(f"{left} bytes cannot hold the stored config's parameters")
+        model = Model(config if config is not None else stored)
         for tag, tensors in _sections(model):
             raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:

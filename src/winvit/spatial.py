@@ -5,16 +5,14 @@ convolves it with a single 7x7 filter, and squashes to (0,1). Applied in
 residual form, F + F * gate, it rescales each spatial position by a factor
 in (1, 2) while costing a fixed 99 parameters no matter the model width.
 
-The channel axis is ``channel_axis``: -3 (the default) for channels-first
-features (C, H, W) or (B, C, H, W), -1 for channels-last (H, W, C) or
-(B, H, W, C), which is how the model's blocks hold their grid. Either way
-:func:`sam_map` and :func:`sam_residual` each record one tape node with a
-hand-written backward.
+The gate computes channels-last, (H, W, C) or (B, H, W, C) with
+``channel_axis=-1``, which is how the model's blocks hold their grid.
+Channels-first features (C, H, W) or (B, C, H, W), the ``channel_axis=-3``
+default, are a view onto that computation whose output and input gradient
+move back. Each call records one tape node with a hand-written backward.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,7 +44,7 @@ class SamParams:
 def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Tensor:
     """The gate map, or ``F + F * gate`` when ``residual``, as one tape node.
 
-    Forward: the avg and max pools over ``channel_axis`` make an
+    Forward: the avg and max pools over the channels make an
     (n, H, W, 2) descriptor, the 7x7 conv and the sigmoid make the
     (n, H, W, 1) gate. Backward: the sigmoid and conv gradients give the
     descriptor's; the avg half reaches every channel divided by C, the max
@@ -60,21 +58,16 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
     if kernel.shape != (1, 2, KERNEL_SIZE, KERNEL_SIZE) or bias.shape != (1,):
         raise ShapeError(f"spatial gate needs a (1, 2, 7, 7) kernel and a (1,) bias, "
                          f"got {kernel.shape} and {bias.shape}")
-    fd = f.data
+    fd = np.moveaxis(f.data, -3, -1) if first else f.data
     shape = fd.shape
-    lead, c = shape[:-3], shape[channel_axis]
-    h, w = shape[-2:] if first else shape[-3:-1]
-    n = math.prod(lead)
-    # the pools and the gate with their channel axis kept: (..., 1, H, W)
-    # and (..., H, W, 1) hold the same bytes as (n, H, W, 1)
-    kept = (*lead, 1, h, w) if first else (*lead, h, w, 1)
-    desc = np.empty((*lead, h, w, 2), dtype=fd.dtype)
-    np.divide(np.add.reduce(fd, axis=channel_axis), c, out=desc[..., 0])
-    np.maximum.reduce(fd, axis=channel_axis, out=desc[..., 1])
-    desc = desc.reshape(n, h, w, 2)
+    c = shape[-1]
+    desc = np.empty((*shape[:-1], 2), dtype=fd.dtype)
+    np.divide(np.add.reduce(fd, axis=-1), c, out=desc[..., 0])
+    np.maximum.reduce(fd, axis=-1, out=desc[..., 1])
+    desc = desc.reshape(-1, *shape[-3:-1], 2)
     z, k = tc._conv_forward(desc, kernel.data, bias.data, PADDING)
     gate = tc._sigmoid(z)
-    gate_kept = gate.reshape(kept)
+    gate_kept = gate.reshape((*shape[:-1], 1))
     if residual:
         out = fd * gate_kept
         out += fd
@@ -82,13 +75,13 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
         out = gate_kept
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
+        # C-contiguous after the move, or the max += below lands in a copy
+        g = np.ascontiguousarray(np.moveaxis(g, -3, -1) if first else g)
         # sum over channels of g * f, without a full-size product
-        dot = "...chw,...chw->...hw" if first else "...c,...c->..."
-        ggate = np.einsum(dot, g, fd) if residual else g
+        ggate = np.einsum("...c,...c->...", g, fd) if residual else g
         gz = ggate.reshape(gate.shape) * gate * (1.0 - gate)
         gdesc, gk, gb = tc._conv_backward(gz, desc, k, PADDING)
-        gavg = (gdesc[..., 0] / c).reshape(kept)
+        gavg = (gdesc[..., 0] / c).reshape(gate_kept.shape)
         if residual:
             gf = g * (gate_kept + 1.0)
             gf += gavg
@@ -96,16 +89,11 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
             gf = np.empty(shape, dtype=g.dtype)
             gf[...] = gavg
         # flat index of every pixel's first maximal channel
-        idx = fd.argmax(axis=channel_axis).reshape(-1)
-        pix = np.arange(idx.size)
-        if first:  # pixel p of image b starts at b*C*H*W + p
-            flat = pix + pix // (h * w) * ((c - 1) * h * w) + idx * (h * w)
-        else:
-            flat = pix * c + idx
-        gf.reshape(-1)[flat] += gdesc[..., 1].reshape(-1)
-        return gf, gk, gb
+        idx = fd.argmax(axis=-1).reshape(-1)
+        gf.reshape(-1)[np.arange(idx.size) * c + idx] += gdesc[..., 1].reshape(-1)
+        return (np.moveaxis(gf, -1, -3) if first else gf), gk, gb
 
-    return tc._emit(out, (f, kernel, bias), bwd)
+    return tc._emit(np.moveaxis(out, -1, -3) if first else out, (f, kernel, bias), bwd)
 
 
 def sam_map(f: Tensor, params: SamParams, channel_axis: int = -3) -> Tensor:

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

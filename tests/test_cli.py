@@ -291,6 +291,18 @@ class TestTrainEval:
         assert_one_error_line(capsys, "config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--set", "data_seed=-1"],
+        ["--set", f"seed={2**64}"],  # beyond the checkpoint's int64 seed
+        ["--set", "samples_per_class=0"],  # rejected when the dataset is built
+    ], ids=["seed", "data_seed", "seed-2**64", "samples_per_class"])
+    def test_train_bad_value_exits_2_and_leaves_no_out_dir(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert main(["train", *TINY, "--set", "epochs=1", *flags, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "config error:")
+        assert not out.exists()
+
     def test_train_non_utf8_manifest_exits_1(self, tmp_path, capsys):
         manifest = tmp_path / "data.csv"
         manifest.write_bytes(b"filepath,label,split\n\xff.ppm,0,train\n")

@@ -114,6 +114,8 @@ class TestSyntheticGeneration:
             SyntheticSpec(image_size=4)
         with pytest.raises(ConfigError):
             SyntheticSpec(noise_std=-0.1)
+        with pytest.raises(ConfigError):
+            SyntheticSpec(seed=-1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_noise_std_rejected(self, value):
@@ -160,6 +162,13 @@ class TestPpmIO:
         path.write_bytes(b"P6\n1 1\n100\n\x64\x32\x00")
         img = read_ppm(path)
         np.testing.assert_allclose(img[:, 0, 0], [1.0, 0.5, 0.0])
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        # 255 under maxval 100 would read as 2.55, outside [0, 1]
+        path = tmp_path / "over.ppm"
+        path.write_bytes(b"P6\n1 1\n100\n\x64\xff\x00")
+        with pytest.raises(DataError, match="PPM sample 255 exceeds maxval 100"):
+            read_ppm(path)
 
     def test_write_read_roundtrip(self, tmp_path):
         rng = np.random.default_rng(180)

@@ -7,6 +7,7 @@ norm placement, wrong reshape order) shows up as a mismatch.
 """
 
 import hashlib
+import io
 import struct
 
 import numpy as np
@@ -26,6 +27,7 @@ from winvit.model import (
     CHECKPOINT_MAGIC,
     Model,
     ModelConfig,
+    _write_config,
     classify,
     load_checkpoint,
     patch_embed,
@@ -85,6 +87,9 @@ class TestModelConfig:
             small_config(dropout_rate=1.5)
         with pytest.raises(ConfigError):
             small_config(sharing_mode="mystery")
+        for seed in (-1, 2**63):  # numpy rejects the first, the int64 record the second
+            with pytest.raises(ConfigError, match="seed"):
+                small_config(seed=seed)
 
     def test_depth_zero_is_legal(self):
         m = Model(small_config(depth=0))
@@ -522,6 +527,27 @@ class TestCheckpoints:
         with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)) as exc:
             load_checkpoint(path, config=small_config(depth=2))
         assert "ATTN" in str(exc.value)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        cfg = small_config(seed=2**63 - 1)
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(cfg), path)
+        assert load_checkpoint(path).config == cfg
+
+    @pytest.mark.parametrize("declared", [
+        dict(image_size=2**20, patch_size=2**20, window=1),  # a 1.5 PiB patch embedding
+        dict(depth=2**40),
+    ], ids=["huge-patch", "huge-depth"])
+    def test_header_declaring_more_than_the_file_holds_is_truncated(self, tmp_path, declared):
+        # a header with no sections: the stored config is checked against
+        # the bytes left before any parameter is allocated
+        cfg = small_config(**declared)
+        header = io.BytesIO()
+        _write_config(header, cfg)
+        path = tmp_path / "crafted.wmh"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + header.getvalue())
+        with pytest.raises(CheckpointTruncatedError, match="bytes cannot hold"):
+            load_checkpoint(path)
 
     def test_config_record_is_authoritative(self, tmp_path):
         cfg = small_config(depth=2, seed=11)

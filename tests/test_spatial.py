@@ -277,22 +277,25 @@ class TestFusedGate:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("residual", [False, True])
-    @pytest.mark.parametrize("channel_axis", [-3, -1])
-    def test_max_tie_gradient_goes_to_first_channel(self, channel_axis, residual):
+    @pytest.mark.parametrize("channel_axis,batched", [
+        pytest.param(axis, batched, id=f"{axis}-batched" if batched else str(axis))
+        for axis, batched in LAYOUTS
+    ])
+    def test_max_tie_gradient_goes_to_first_channel(self, channel_axis, batched, residual):
         rng = np.random.default_rng(203)
         p = f64_params(204)
-        f = features(rng, -1, batched=False)
-        f[2, 3] = [0.1, 0.9, -0.3, 0.9, 0.2]  # channels 1 and 3 share the max
+        f = features(rng, -1, batched)
+        f[..., 2, 3, :] = [0.1, 0.9, -0.3, 0.9, 0.2]  # channels 1 and 3 share the max
         if channel_axis == -3:
-            f = np.ascontiguousarray(f.transpose(2, 0, 1))
+            f = np.ascontiguousarray(np.moveaxis(f, -1, -3))
         _, _, (gf, _, _) = run_with_grads(fused, f, p, channel_axis, residual)
         _, _, (ref, _, _) = run_with_grads(composed, f, p, channel_axis, residual)
         np.testing.assert_allclose(gf, ref, rtol=0, atol=1e-12)
         if not residual:  # the pixel's gradient is the avg share plus, once, the max's
-            pixel = gf[2, 3] if channel_axis == -1 else gf[:, 2, 3]
-            others = pixel[[0, 2, 3, 4]]
-            np.testing.assert_allclose(others, others[0], rtol=0, atol=1e-15)
-            assert abs(pixel[1] - pixel[3]) > 1e-6
+            pixel = gf[..., 2, 3, :] if channel_axis == -1 else gf[..., :, 2, 3]
+            others = pixel[..., [0, 2, 3, 4]]
+            np.testing.assert_allclose(others - others[..., :1], 0, rtol=0, atol=1e-15)
+            assert np.all(np.abs(pixel[..., 1] - pixel[..., 3]) > 1e-6)
 
     @pytest.mark.parametrize("residual", [False, True])
     @pytest.mark.parametrize("channel_axis,batched", LAYOUTS)

@@ -409,6 +409,8 @@ class TestTrainLoop:
             TrainConfig(weight_decay=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(eval_every=-1)
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_weight_decay_rejected(self, value):
