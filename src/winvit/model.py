@@ -361,9 +361,9 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
         for tag, tensors in _sections(model):
             raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:
+                against = "its stored config" if config is None else "the requested config"
                 raise CheckpointShapeError(
-                    f"section {raw_tag!r} where {tag!r} expected; "
-                    "checkpoint does not match the requested config"
+                    f"section {raw_tag!r} where {tag!r} expected; checkpoint does not match {against}"
                 )
             raw_count = tc.read_exact(f, 4, CheckpointTruncatedError, f"section {tag!r} header")
             (count,) = struct.unpack("<I", raw_count)

@@ -528,6 +528,23 @@ class TestCheckpoints:
             load_checkpoint(path, config=small_config(depth=2))
         assert "ATTN" in str(exc.value)
 
+    def test_zeroed_section_tag_names_the_config_it_was_read_against(self, tmp_path):
+        cfg = small_config()
+        header = io.BytesIO()
+        _write_config(header, cfg)
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(cfg), path)
+        raw = bytearray(path.read_bytes())
+        tag_at = len(CHECKPOINT_MAGIC) + 4 + len(header.getvalue())
+        assert raw[tag_at:tag_at + 4] == b"PEMB"
+        raw[tag_at:tag_at + 4] = bytes(4)
+        path.write_bytes(bytes(raw))
+        # no config given: the file is read against the config it stores
+        with pytest.raises(CheckpointShapeError, match="does not match its stored config"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointShapeError, match="does not match the requested config"):
+            load_checkpoint(path, config=cfg)
+
     def test_largest_seed_round_trips(self, tmp_path):
         cfg = small_config(seed=2**63 - 1)
         path = tmp_path / "model.wmh"

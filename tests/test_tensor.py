@@ -8,6 +8,7 @@ itself. Gradient claims are checked with central finite differences.
 import io
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -1070,3 +1071,97 @@ class TestDebugFacilities:
             tc.channel_pool(tc.ones((4, 4)), "avg")
         with pytest.raises(ConfigError):
             tc.channel_pool(tc.ones((1, 4, 4)), "median")
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+
+class TestMallocPolicy:
+    """The glibc malloc thresholds that importing the tensor core fixes.
+
+    The branch tests run `_fix_malloc_thresholds` against a fake C library
+    and a patched environment, so nothing is set for real.
+    """
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                assert name is None  # the running process, not a file lookup
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+        monkeypatch.setattr(tc.ctypes, "CDLL", FakeLibc)
+        monkeypatch.setattr(tc.os, "confstr", lambda name: "glibc 2.36")
+        for name in tc._MALLOC_ENV + ("GLIBC_TUNABLES",):
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    def test_glibc_sets_both_thresholds(self, mallopt_calls):
+        tc._fix_malloc_thresholds()
+        assert mallopt_calls == [(-1, 256 * 2**20), (-3, 32 * 2**20)]
+
+    def test_other_tunables_do_not_defer(self, mallopt_calls, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.pthread.rseq=0")
+        tc._fix_malloc_thresholds()
+        assert len(mallopt_calls) == 2
+
+    @pytest.mark.parametrize("confstr", ["raises", "none", "musl", "absent"])
+    def test_other_c_library_is_left_alone(self, mallopt_calls, monkeypatch, confstr):
+        if confstr == "absent":
+            monkeypatch.delattr(tc.os, "confstr")
+        else:
+            def fake(name):
+                if confstr == "raises":
+                    raise ValueError("unrecognized configuration name")
+                return None if confstr == "none" else "musl 1.2.4"
+
+            monkeypatch.setattr(tc.os, "confstr", fake)
+        tc._fix_malloc_thresholds()
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("name,value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_users_malloc_settings_win(self, mallopt_calls, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        tc._fix_malloc_thresholds()
+        assert mallopt_calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy applies to glibc only")
+    def test_desk_train_step_takes_no_page_faults(self):
+        # a fresh interpreter, so the policy is the one importing winvit
+        # sets; malloc variables of the calling environment are dropped
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from winvit import (Model, ModelConfig, Tape, Tensor, TrainState, adamw_step,\n"
+            "                    backward, classify, cross_entropy)\n"
+            "model = Model(ModelConfig())\n"
+            "state = TrainState.init(model.named_params())\n"
+            "rng = np.random.default_rng(0)\n"
+            "images = Tensor(rng.normal(size=(8, 3, 64, 64)).astype(np.float32))\n"
+            "labels = np.arange(8) % 3\n"
+            "def step():\n"
+            "    with Tape() as tape:\n"
+            "        loss = cross_entropy(classify(images, model, training=True, rng=rng), labels)\n"
+            "    adamw_step(state, backward(loss, tape), 1e-3)\n"
+            "for _ in range(5):\n"
+            "    step()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    step()\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in tc._MALLOC_ENV and k != "GLIBC_TUNABLES"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert float(proc.stdout) <= 50
