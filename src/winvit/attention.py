@@ -16,6 +16,7 @@ each.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,8 +137,8 @@ class WindowAttentionParams:
     Q/K/V/output projections are fused across heads (C x C each, sliced to
     d = C/h per head). ``shared_qk`` stores one matrix for both the query
     and key projections, dropping exactly C^2 parameters; the projection
-    biases stay separate. The bias index is derived from M and is never a
-    parameter.
+    biases stay separate. The bias index is derived from M on first use
+    (it holds M^4 entries) and is never a parameter.
     """
 
     def __init__(self, dim, heads, window, dropout_rate=0.0, sharing_mode="standard", rng=None):
@@ -164,7 +165,10 @@ class WindowAttentionParams:
         self.b_o = tc.zeros((dim,))
         # zero bias at init keeps the single-window/global equivalence exact
         self.bias_table = tc.zeros((heads, (2 * window - 1) ** 2))
-        self.bias_index = build_bias_index(window)
+
+    @functools.cached_property
+    def bias_index(self) -> np.ndarray:
+        return build_bias_index(self.window)
 
     def named_params(self):
         """(name, tensor) pairs; the shared matrix appears once as w_qk."""

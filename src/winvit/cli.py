@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import sys
 
@@ -29,7 +30,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, GeometryError, WinvitError
 from .model import Model, ModelConfig, classify, load_checkpoint, save_checkpoint
-from .tensor import Tensor, write_file
+from .tensor import Tensor, read_file, write_file
 from .train import TrainConfig, evaluate, train_loop
 
 
@@ -72,11 +73,11 @@ class RunConfig:
 
         if config_path is not None:
             try:
-                with open(config_path, encoding="utf-8-sig") as f:
-                    lines = f.readlines()
-            except (OSError, UnicodeDecodeError) as exc:
+                text = read_file(config_path, ConfigError, "config file").decode("utf-8-sig")
+            except UnicodeDecodeError as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-            for lineno, line in enumerate(lines, start=1):
+            # CR, LF and CRLF end a line (str.splitlines also splits on \f and U+2028)
+            for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue

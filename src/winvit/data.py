@@ -13,12 +13,13 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, read_exact, write_file
+from .tensor import Tensor, read_exact, read_file, write_file
 
 PATTERN_FAMILIES = ("stripes", "checker", "radial")
 
@@ -118,52 +119,33 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
 # PPM I/O
 
 
-def _read_ppm_tokens(f, count: int) -> list:
-    """Next ``count`` whitespace-separated header tokens, # comments skipped."""
-    tokens = []
-    while len(tokens) < count:
-        ch = f.read(1)
-        if not ch:
-            raise DataError("unexpected end of PPM header")
-        if ch in b" \t\r\n":
-            continue
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = f.read(1)
-            continue
-        tok = ch
-        while True:
-            ch = f.read(1)
-            if not ch or ch in b" \t\r\n":
-                break
-            if ch == b"#":
-                while ch and ch != b"\n":
-                    ch = f.read(1)
-                break
-            tok += ch
-        tokens.append(tok)
-    return tokens
+# the header after the two magic bytes: width, height and maxval, each after
+# any run of whitespace or of "#" comments that end with their line, and each
+# ended by one whitespace byte, one comment or the end of the file. A comment
+# ends only at a newline or the end, and a token only where a delimiter
+# follows, so every header has one parse and a failed match costs one pass.
+_PNM_SPACE = rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))"
+_PNM_HEADER = re.compile((_PNM_SPACE + rb"*([^ \t\r\n#]+)(?:" + _PNM_SPACE + rb"|\Z)") * 3)
 
 
 def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
     """Binary PNM file with ``magic`` -> (H, W, planes) float64 in [0, 1]."""
+    raw = read_file(path, DataError, "image")
+    if raw[:2] != magic:
+        raise DataError(f"not a binary {magic.decode()} PPM (magic {raw[:2]!r})")
+    header = _PNM_HEADER.match(raw, 2)
+    if header is None:
+        raise DataError("unexpected end of PPM header")
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as exc:
-        raise DataError(f"cannot open image {path}: {exc}") from exc
+        w, h, maxval = (int(t) for t in header.groups())
+    except ValueError as exc:
+        raise DataError(f"malformed PPM header: {exc}") from exc
+    if w < 1 or h < 1:
+        raise DataError(f"bad PPM dimensions {w}x{h}")
+    if not 0 < maxval <= 255:
+        raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
     with io.BytesIO(raw) as f:
-        found = f.read(2)
-        if found != magic:
-            raise DataError(f"not a binary {magic.decode()} PPM (magic {found!r})")
-        try:
-            w, h, maxval = (int(t) for t in _read_ppm_tokens(f, 3))
-        except ValueError as exc:
-            raise DataError(f"malformed PPM header: {exc}") from exc
-        if w < 1 or h < 1:
-            raise DataError(f"bad PPM dimensions {w}x{h}")
-        if not 0 < maxval <= 255:
-            raise DataError(f"only 8-bit PPM supported, got maxval {maxval}")
+        f.seek(header.end())
         payload = read_exact(f, w * h * planes, DataError, "PPM payload")
     samples = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, planes)
     if samples.max() > maxval:
@@ -245,41 +227,37 @@ def load_manifest(path, image_size: int, num_classes: int | None = None) -> dict
     train = Dataset(split="train")
     val = Dataset(split="val")
     max_label = -1
-    try:
-        # undecodable bytes survive as surrogates and are reported per row
-        f = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
-    except OSError as exc:
-        raise DataError(f"cannot open manifest {path}: {exc}") from exc
-    with f:
-        for rownum, row in enumerate(csv.reader(f), start=1):
-            try:
-                ",".join(row).encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataError(f"manifest row {rownum}: not UTF-8 text in {path}") from None
-            if not row or (rownum == 1 and row[0].strip().lower() == "filepath"):
-                continue
-            if len(row) != 3:
-                raise DataError(f"manifest row {rownum}: expected filepath,label,split, got {row}")
-            filepath, label_str, split = (cell.strip() for cell in row)
-            try:
-                label = int(label_str)
-            except ValueError:
-                raise DataError(f"manifest row {rownum}: label {label_str!r} is not an integer") from None
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                bound = num_classes if num_classes is not None else "inf"
-                raise DataError(f"manifest row {rownum}: label {label} outside [0, {bound})")
-            if split not in ("train", "val"):
-                raise DataError(f"manifest row {rownum}: split must be train or val, got {split!r}")
-            full = filepath if os.path.isabs(filepath) else os.path.join(base, filepath)
-            try:
-                img = read_ppm(full)
-            except DataError as exc:
-                raise DataError(f"manifest row {rownum}: {exc}") from exc
-            img = bilinear_resize(img, image_size, image_size)
-            target = train if split == "train" else val
-            target.images.append(Tensor(img.astype(np.float32)))
-            target.labels.append(label)
-            max_label = max(max_label, label)
+    # undecodable bytes survive as surrogates and are reported per row
+    text = read_file(path, DataError, "manifest").decode("utf-8-sig", "surrogateescape")
+    for rownum, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        try:
+            ",".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"manifest row {rownum}: not UTF-8 text in {path}") from None
+        if not row or (rownum == 1 and row[0].strip().lower() == "filepath"):
+            continue
+        if len(row) != 3:
+            raise DataError(f"manifest row {rownum}: expected filepath,label,split, got {row}")
+        filepath, label_str, split = (cell.strip() for cell in row)
+        try:
+            label = int(label_str)
+        except ValueError:
+            raise DataError(f"manifest row {rownum}: label {label_str!r} is not an integer") from None
+        if label < 0 or (num_classes is not None and label >= num_classes):
+            bound = num_classes if num_classes is not None else "inf"
+            raise DataError(f"manifest row {rownum}: label {label} outside [0, {bound})")
+        if split not in ("train", "val"):
+            raise DataError(f"manifest row {rownum}: split must be train or val, got {split!r}")
+        full = filepath if os.path.isabs(filepath) else os.path.join(base, filepath)
+        try:
+            img = read_ppm(full)
+        except DataError as exc:
+            raise DataError(f"manifest row {rownum}: {exc}") from exc
+        img = bilinear_resize(img, image_size, image_size)
+        target = train if split == "train" else val
+        target.images.append(Tensor(img.astype(np.float32)))
+        target.labels.append(label)
+        max_label = max(max_label, label)
     k = num_classes if num_classes is not None else max_label + 1
     names = [f"class{i}" for i in range(k)]
     train.class_names = names

@@ -335,11 +335,7 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
     reported against the first section whose tensor shapes do not fit.
     Without it, the config stored in the file is used.
     """
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
+    raw = tc.read_file(path, CheckpointError, "checkpoint")
     with io.BytesIO(raw) as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:

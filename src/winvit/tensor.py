@@ -32,9 +32,9 @@ malloc would then hand the heap top back to the OS and fault it back in on
 the next step (about 4,000 minor page faults per desk B=8 step). On glibc,
 importing this module therefore fixes malloc's trim threshold at 256 MiB
 and its mmap threshold at 32 MiB through ``mallopt``, once per process.
-Other C libraries are left alone, and so is glibc when the environment
-sets ``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_MMAP_THRESHOLD_``,
-``MALLOC_TOP_PAD_`` or a ``glibc.malloc.*`` entry of ``GLIBC_TUNABLES``.
+A threshold the environment sets (``MALLOC_TRIM_THRESHOLD_``,
+``MALLOC_MMAP_THRESHOLD_`` or its ``glibc.malloc`` tunable) is left to it,
+and no other setting stops the policy. Other C libraries are left alone.
 The policy changes where memory comes from, never a computed value.
 """
 
@@ -70,17 +70,19 @@ _TAPES: list = []
 _COUNTERS: list = []
 _SCOPES: list = []
 
-# glibc's own malloc settings, which the allocator policy defers to
-_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_")
+# the thresholds the allocator policy sets, as (mallopt parameter, value,
+# glibc's name): M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_MALLOC_THRESHOLDS = ((-1, 256 << 20, "trim_threshold"), (-3, 32 << 20, "mmap_threshold"))
 
 
 def _fix_malloc_thresholds() -> None:
     """On glibc, stop malloc from trimming the heap top and mapping step
     temporaries of up to 32 MiB (glibc's 64-bit ceiling for its dynamic
-    mmap threshold), unless the environment already tunes malloc.
+    mmap threshold), except for a threshold the environment sets itself.
 
-    Both thresholds are set, since setting either one turns off glibc's
-    dynamic adjustment of both. Any other C library is left alone.
+    Setting either threshold, or MALLOC_TOP_PAD_, turns off glibc's dynamic
+    adjustment of both, so each threshold the environment leaves unset is
+    set. Any other C library is left alone.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -88,14 +90,13 @@ def _fix_malloc_thresholds() -> None:
         return
     if not (libc or "").startswith("glibc "):
         return
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    if any(name in os.environ for name in _MALLOC_ENV) or "glibc.malloc." in tunables:
-        return
+    tuned = {t.partition("=")[0] for t in os.environ.get("GLIBC_TUNABLES", "").split(":")}
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    for param, value, name in _MALLOC_THRESHOLDS:
+        if f"MALLOC_{name.upper()}_" not in os.environ and f"glibc.malloc.{name}" not in tuned:
+            mallopt(param, value)
 
 
 _fix_malloc_thresholds()
@@ -894,11 +895,11 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# A binary reader loads the whole file and parses an io.BytesIO of it through
-# ``read_exact``, whose seeks would drop a file's read buffer and fail on a
-# pipe. Every output except the streamed metrics log goes through
-# ``write_file``: a checkpoint that cannot be written raises CheckpointError,
-# any other output ConfigError, as a bad --out does.
+# Every input file is read whole by ``read_file`` and parsed from memory, so
+# a pipe reads like a file; binary parsers read through ``read_exact``. Every
+# output except the streamed metrics log goes through ``write_file``. Each
+# takes the error to raise: CheckpointError for a checkpoint, DataError for
+# an image or manifest, ConfigError for a config file or any other output.
 
 
 def read_exact(f, n: int, error, what: str) -> bytes:
@@ -915,6 +916,16 @@ def read_exact(f, n: int, error, what: str) -> bytes:
     if n > left:
         raise error(f"{what} truncated: {left} of {n} bytes")
     return f.read(n)
+
+
+def read_file(path, error, what: str) -> bytes:
+    """The whole content of the file at ``path``; an OSError raises
+    ``error("cannot open <what> <path>: ...")``."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise error(f"cannot open {what} {path}: {exc}") from exc
 
 
 def write_file(path, write, error) -> None:

@@ -72,6 +72,18 @@ class TestRunConfig:
         cfg.write_bytes(b"\xef\xbb\xbfimage_size=32\n")
         assert RunConfig.load(config_path=cfg)["image_size"] == 32
 
+    @pytest.mark.parametrize("raw, manifest_path", [
+        (b"\xef\xbb\xbfimage_size=32\r\nepochs=3\r\n", ""),  # BOM and CRLF
+        (b"image_size=32\repochs=3\r", ""),  # a lone CR ends a line
+        # form feed and U+2028 stay inside a value; only CR and LF end a line
+        ("image_size=32\nmanifest_path=a\x0cb\u2028c\nepochs=3\n".encode(), "a\x0cb\u2028c"),
+    ])
+    def test_line_endings(self, tmp_path, raw, manifest_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(raw)
+        run = RunConfig.load(config_path=cfg)
+        assert (run["image_size"], run["epochs"], run["manifest_path"]) == (32, 3, manifest_path)
+
     def test_unknown_key_rejected_with_location(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("learning_rate=0.1\n")

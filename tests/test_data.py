@@ -202,6 +202,43 @@ class TestPpmIO:
         with pytest.raises(DataError):
             write_ppm_p6(tmp_path / "x.ppm", np.zeros((1, 4, 4)))
 
+    # header bytes -> the samples read, or the error raised; a token runs
+    # to whitespace, "#" or the end of the file, and only one delimiter
+    # follows maxval, so a sample may be a whitespace byte
+    @pytest.mark.parametrize("raw, expected", [
+        (b"P61 1 255 \x01\x02\x03", [1, 2, 3]),  # a token right after the magic
+        (b"P6#c\n1#d\n1\n255#e\n\x01\x02\x03", [1, 2, 3]),  # tokens ended by "#"
+        (b"P6\x0c1 1 255 \x01\x02\x03", [1, 2, 3]),  # form feed is a token byte
+        (b"P6\n+1 1\n255\n\x01\x02\x03", [1, 2, 3]),
+        (b"P6\t1\t1\t255\t\x01\x02\x03", [1, 2, 3]),
+        (b"P6 1 1 255\r\n\x01\x02", [10, 1, 2]),  # "\n" is the first sample
+        (b"P6 1 1 255#\n\x01\x02\x03", [1, 2, 3]),
+        (b"P6\n1a 1\n255\n\x01\x02\x03",
+         "malformed PPM header: invalid literal for int() with base 10: b'1a'"),
+        (b"P6\n1 1\n255", "PPM payload truncated: 0 of 3 bytes"),  # header ends the file
+        (b"P6 1 1 255#", "PPM payload truncated: 0 of 3 bytes"),
+        (b"P6\n# only a comment", "unexpected end of PPM header"),
+        (b"P6\n1 1", "unexpected end of PPM header"),
+        (b"P6", "unexpected end of PPM header"),
+        (b"P", "not a binary P6 PPM (magic b'P')"),
+    ])
+    def test_header_corpus(self, tmp_path, raw, expected):
+        path = tmp_path / "case.ppm"
+        path.write_bytes(raw)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as exc:
+                read_ppm(path)
+            assert str(exc.value) == expected
+        else:
+            np.testing.assert_array_equal(read_ppm(path)[:, 0, 0], np.array(expected) / 255)
+
+    def test_long_comment_before_end_of_header_fails_fast(self, tmp_path):
+        # a comment of spaces and "#"s followed by the end of the file
+        path = tmp_path / "comment.ppm"
+        path.write_bytes(b"P6 1 1\n#" + b" #" * 50_000)
+        with pytest.raises(DataError, match="unexpected end of PPM header"):
+            read_ppm(path)
+
     @pytest.mark.parametrize("header", [b"P5\n-2 3\n255\n", b"P5\n0 3\n255\n"])
     def test_grayscale_rejects_nonpositive_dimensions(self, tmp_path, header):
         path = tmp_path / "bad.pgm"
@@ -316,6 +353,15 @@ class TestManifest:
         manifest.write_bytes(b"\xef\xbb\xbffilepath,label,split\na.ppm,0,train\n")
         data = load_manifest(manifest, image_size=8)
         assert data["train"].labels == [0]
+
+    def test_byte_order_mark_and_crlf_rows(self, tmp_path):
+        make_ppm(tmp_path / "a.ppm")
+        make_ppm(tmp_path / "b.ppm", value=64)
+        manifest = tmp_path / "data.csv"
+        manifest.write_bytes(b"\xef\xbb\xbffilepath,label,split\r\na.ppm,0,train\r\nb.ppm,1,val\r\n")
+        data = load_manifest(manifest, image_size=8)
+        assert data["train"].labels == [0] and data["val"].labels == [1]
+        np.testing.assert_allclose(data["val"].images[0].data, 64 / 255, rtol=1e-5)
 
     def test_class_names_span_labels(self, tmp_path):
         make_ppm(tmp_path / "a.ppm")

@@ -9,6 +9,8 @@ norm placement, wrong reshape order) shows up as a mismatch.
 import hashlib
 import io
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -565,6 +567,34 @@ class TestCheckpoints:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + header.getvalue())
         with pytest.raises(CheckpointTruncatedError, match="bytes cannot hold"):
             load_checkpoint(path)
+
+    def test_large_window_header_fails_before_building_a_bias_index(self, tmp_path):
+        # window 64 over a 64x64 token grid: the zero-padded file holds every
+        # parameter, so the size check passes, but the (M^2, M^2) bias index
+        # alone would take 128 MiB; a fresh interpreter, so ru_maxrss starts
+        # below the peak of the tests before it
+        cfg = ModelConfig(image_size=64, patch_size=1, window=64, depth=1)
+        header = io.BytesIO()
+        _write_config(header, cfg)
+        params = model_cost(cfg, "windowed").total_params
+        path = tmp_path / "crafted.wmh"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + header.getvalue() + bytes(4 * params))
+        code = (
+            "import resource, sys\n"
+            "from winvit.errors import CheckpointError\n"
+            "from winvit.model import load_checkpoint\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_checkpoint(sys.argv[1])\n"
+            "    sys.exit('loaded')\n"
+            "except CheckpointError:\n"
+            "    pass\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True
+        )
+        assert float(proc.stdout) < 100  # MiB; ru_maxrss counts KiB on Linux
 
     def test_config_record_is_authoritative(self, tmp_path):
         cfg = small_config(depth=2, seed=11)

@@ -1095,7 +1095,8 @@ class TestMallocPolicy:
 
         monkeypatch.setattr(tc.ctypes, "CDLL", FakeLibc)
         monkeypatch.setattr(tc.os, "confstr", lambda name: "glibc 2.36")
-        for name in tc._MALLOC_ENV + ("GLIBC_TUNABLES",):
+        for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_",
+                     "GLIBC_TUNABLES"):
             monkeypatch.delenv(name, raising=False)
         return calls
 
@@ -1122,22 +1123,31 @@ class TestMallocPolicy:
         tc._fix_malloc_thresholds()
         assert mallopt_calls == []
 
-    @pytest.mark.parametrize("name,value", [
-        ("MALLOC_TRIM_THRESHOLD_", "131072"),
-        ("MALLOC_MMAP_THRESHOLD_", "131072"),
-        ("MALLOC_TOP_PAD_", "0"),
-        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.trim_threshold=131072"),
-    ])
-    def test_users_malloc_settings_win(self, mallopt_calls, monkeypatch, name, value):
+    # a setting of the environment -> the mallopt calls left to make; ids
+    # are "<name>-<value>"
+    @pytest.mark.parametrize("name,value,left", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in [
+        ("MALLOC_TRIM_THRESHOLD_", "131072", [(-3, 32 * 2**20)]),
+        ("MALLOC_MMAP_THRESHOLD_", "131072", [(-1, 256 * 2**20)]),
+        ("MALLOC_TOP_PAD_", "0", [(-1, 256 * 2**20), (-3, 32 * 2**20)]),
+        ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.trim_threshold=131072",
+         [(-3, 32 * 2**20)]),
+        ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=0", []),
+        ("GLIBC_TUNABLES", "glibc.malloc.arena_max=2", [(-1, 256 * 2**20), (-3, 32 * 2**20)]),
+    ]])
+    def test_users_malloc_settings_win(self, mallopt_calls, monkeypatch, name, value, left):
         monkeypatch.setenv(name, value)
         tc._fix_malloc_thresholds()
-        assert mallopt_calls == []
+        assert mallopt_calls == left
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator policy applies to glibc only")
-    def test_desk_train_step_takes_no_page_faults(self):
+    @pytest.mark.parametrize("setting", [{}, {"MALLOC_TOP_PAD_": "1"},
+                                         {"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}],
+                             ids=["none", "top_pad", "arena_max"])
+    def test_desk_train_step_takes_no_page_faults(self, setting):
         # a fresh interpreter, so the policy is the one importing winvit
-        # sets; malloc variables of the calling environment are dropped
+        # sets; malloc variables of the calling environment are replaced
+        # by ``setting``, none of which sets a threshold
         code = (
             "import resource\n"
             "import numpy as np\n"
@@ -1160,7 +1170,8 @@ class TestMallocPolicy:
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
         )
         env = {k: v for k, v in os.environ.items()
-               if k not in tc._MALLOC_ENV and k != "GLIBC_TUNABLES"}
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env.update(setting)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
