@@ -253,7 +253,9 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
         gp = gz @ v.swapaxes(-1, -2)
         if drop:
             gp *= p_mask
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs = gp  # p * (gp - sum(gp * p)), in place
+        gs -= (gp * p).sum(axis=-1, keepdims=True)
+        gs *= p
         g_table = []
         if bias:
             gt = np.zeros_like(params.bias_table.data)

@@ -120,12 +120,13 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
 
 
 # the header after the two magic bytes: width, height and maxval, each after
-# any run of whitespace or of "#" comments that end with their line, and each
-# ended by one whitespace byte, one comment or the end of the file. A comment
-# ends only at a newline or the end, and a token only where a delimiter
-# follows, so every header has one parse and a failed match costs one pass.
-_PNM_SPACE = rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))"
-_PNM_HEADER = re.compile((_PNM_SPACE + rb"*([^ \t\r\n#]+)(?:" + _PNM_SPACE + rb"|\Z)") * 3)
+# any run of whitespace (netpbm's six bytes: space, \t, \n, \v, \f, \r) or
+# of "#" comments that end with their line, and each ended by one whitespace
+# byte, one comment or the end of the file. A comment ends only at a newline
+# or the end, and a token only where a delimiter follows, so every header
+# has one parse and a failed match costs one pass.
+_PNM_SPACE = rb"(?:[ \t\n\v\f\r]|#[^\n]*(?:\n|\Z))"
+_PNM_HEADER = re.compile((_PNM_SPACE + rb"*([^ \t\n\v\f\r#]+)(?:" + _PNM_SPACE + rb"|\Z)") * 3)
 
 
 def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
@@ -136,9 +137,14 @@ def _read_pnm(path, magic: bytes, planes: int) -> np.ndarray:
     header = _PNM_HEADER.match(raw, 2)
     if header is None:
         raise DataError("unexpected end of PPM header")
+    for token in header.groups():
+        # ASCII digits only, no "+", "_" or spaces; a "-" is left to the
+        # range checks below, which name the value
+        if not token.removeprefix(b"-").isdigit():
+            raise DataError(f"malformed PPM header: invalid number {token!r}")
     try:
         w, h, maxval = (int(t) for t in header.groups())
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise DataError(f"malformed PPM header: {exc}") from exc
     if w < 1 or h < 1:
         raise DataError(f"bad PPM dimensions {w}x{h}")

@@ -587,26 +587,40 @@ def _erf(x: np.ndarray) -> np.ndarray:
     ``take`` per coefficient. NaN maps to NaN and +-inf to +-1."""
     starts, coef = _ERF_TABLES[x.dtype]
     flat = x.reshape(-1)
-    t = np.minimum(np.abs(flat), _ERF_SPAN)
-    # fmin sends NaN to the last cell's index, while t (and so dx) keeps it.
-    idx = np.fmin(t * (_ERF_CELLS / _ERF_SPAN), _ERF_CELLS).astype(np.intp)
-    dx = t - starts.take(idx)
+    dx = np.abs(flat)
+    np.minimum(dx, _ERF_SPAN, out=dx)
+    # fmin sends NaN to the last cell's index, while dx keeps it. The index
+    # is in range, so every take may clip (an unbuffered write into ``cell``).
+    cell = dx * (_ERF_CELLS / _ERF_SPAN)
+    idx = np.fmin(cell, _ERF_CELLS, out=cell).astype(np.intp)
+    dx -= starts.take(idx, out=cell, mode="clip")
     p = coef[0].take(idx)
     for ck in coef[1:]:
         p *= dx
-        p += ck.take(idx)
+        p += ck.take(idx, out=cell, mode="clip")
     return np.copysign(p, flat, out=p).reshape(x.shape)
 
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = _erf(x * _INV_SQRT2)
+    # cdf = 0.5 * (1 + erf(x / sqrt 2)); scaling by 0.5 is exact, so x * cdf
+    # is 0.5 * x * (1 + erf) to the bit, and the backward reuses cdf.
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0 = NaN
-        out = 0.5 * x * (1.0 + inner)
+        out = x * cdf
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (0.5 * (1.0 + inner) + x * pdf),)
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        grad = np.multiply(x, -0.5)
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT2PI
+        grad *= x
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _emit(out, (a,), bwd)
 
@@ -633,26 +647,34 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
         raise ShapeError(
             f"layernorm affine params must be ({x.shape[-1]},), got {gamma.shape} and {beta.shape}"
         )
-    # Centre once; the same ufunc sequence as np.mean and np.var.
+    # Centre once; the same ufunc sequence as np.mean and np.var. Two
+    # input-sized arrays: xhat is normalized in place, and the square's
+    # scratch becomes the output.
     xd = x.data
     n = xd.shape[-1]
-    d = xd - xd.sum(axis=-1, keepdims=True) / n
-    var = (d * d).sum(axis=-1, keepdims=True) / n
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / n
+    out = xhat * xhat
+    var = out.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv
+    xhat *= inv
     gd = gamma.data
-    out = xhat * gd + beta.data
+    np.multiply(xhat, gd, out=out)
+    out += beta.data
 
     def bwd(g):
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         red = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=red)
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=red)
         dbeta = g.sum(axis=red)
-        dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = g * gd
+        np.multiply(dx, xhat, out=tmp)
+        proj = tmp.mean(axis=-1, keepdims=True)
+        mean = dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, proj, out=tmp)
+        dx -= mean
+        dx -= tmp
+        dx *= inv
         return dx, dgamma, dbeta
 
     return _emit(out, (x, gamma, beta), bwd)

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tc
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .model import Model, classify, save_checkpoint
 from .tensor import Gradients, Tape, Tensor, backward
 
@@ -60,19 +60,47 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Parameters plus optimizer moments; ``step`` counts completed updates."""
+    """Parameters plus optimizer moments; ``step`` counts completed updates.
 
-    params: list  # [(name, Tensor)]
-    moments: dict  # name -> (m, v) arrays, shape-matched to the parameter
+    Build it with :meth:`init`, which moves the parameters of each dtype
+    into one flat buffer and rebinds every ``Tensor.data`` to a view of it;
+    the moments are views of two more flat buffers. ``flats`` holds, per
+    dtype, the parameter, m and v buffers and each parameter's (name,
+    tensor, data view, (m, v) views); ``params`` and ``moments`` are read
+    from it.
+    """
+
+    flats: list = field(repr=False)
     step: int = 0
 
     @classmethod
     def init(cls, named_params) -> "TrainState":
         params = list(named_params)
-        moments = {
-            name: (np.zeros_like(t.data), np.zeros_like(t.data)) for name, t in params
-        }
-        return cls(params=params, moments=moments)
+        if len({id(t) for _, t in params}) < len(params):
+            raise ContractError("a parameter tensor is listed under two names")
+        flats = []
+        for dtype in dict.fromkeys(t.dtype for _, t in params):
+            group = [(name, t) for name, t in params if t.dtype == dtype]
+            theta = np.concatenate([t.data.reshape(-1) for _, t in group])
+            m, v = np.zeros_like(theta), np.zeros_like(theta)
+            members, start = [], 0
+            for name, t in group:
+                end = start + t.size
+                t.data, mt, vt = (flat[start:end].reshape(t.shape) for flat in (theta, m, v))
+                members.append((name, t, t.data, (mt, vt)))
+                start = end
+            flats.append((theta, m, v, members))
+        return cls(flats=flats)
+
+    @property
+    def params(self) -> list:
+        """[(name, Tensor)], grouped by dtype in the order of :meth:`init`."""
+        return [(name, t) for *_, members in self.flats for name, t, *_ in members]
+
+    @property
+    def moments(self) -> dict:
+        """name -> (m, v) views, shape-matched to the parameter."""
+        return {name: mv for *_, members in self.flats for name, _, _, mv in members}
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -101,26 +129,46 @@ def adamw_step(
 
     Decay is applied as theta -= lr * lambda * theta, separate from the
     moment-driven term; a parameter with no recorded gradient still decays.
+    Every gradient is checked and gathered into a flat array (in its
+    parameter's dtype) before anything is written, so a bad gradient leaves
+    the state as it was; then each operation runs once per flat buffer.
     """
+    gathered = []
+    for theta, _, _, members in state.flats:
+        parts = []
+        for name, p, view, _ in members:
+            if p.data is not view:
+                raise ContractError(f"parameter {name}'s data was rebound after TrainState.init")
+            g = grads.get(p)
+            if g is None:
+                g = np.zeros_like(view)
+            elif g.shape != view.shape:
+                raise ConfigError(f"gradient shape {g.shape} mismatches parameter {name} {view.shape}")
+            parts.append(g.reshape(-1))
+        gathered.append(np.concatenate(parts, dtype=theta.dtype))
     b1, b2 = betas
     t = state.step + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for name, p in state.params:
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ConfigError(f"gradient shape {g.shape} mismatches parameter {name} {p.data.shape}")
-        m, v = state.moments[name]
+    for (theta, m, v, _), g in zip(state.flats, gathered):
         m *= b1
-        m += (1.0 - b1) * g
+        tmp = g * (1.0 - b1)
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        p.data -= update.astype(p.dtype)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, c1, out=g)
+        g *= lr
+        g /= tmp
+        theta -= g
         if weight_decay:
-            p.data -= (lr * weight_decay) * p.data
+            np.multiply(theta, lr * weight_decay, out=g)
+            theta -= g
     state.step = t
     return state
 

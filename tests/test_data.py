@@ -208,13 +208,15 @@ class TestPpmIO:
     @pytest.mark.parametrize("raw, expected", [
         (b"P61 1 255 \x01\x02\x03", [1, 2, 3]),  # a token right after the magic
         (b"P6#c\n1#d\n1\n255#e\n\x01\x02\x03", [1, 2, 3]),  # tokens ended by "#"
-        (b"P6\x0c1 1 255 \x01\x02\x03", [1, 2, 3]),  # form feed is a token byte
-        (b"P6\n+1 1\n255\n\x01\x02\x03", [1, 2, 3]),
+        (b"P6\x0c1 1 255 \x01\x02\x03", [1, 2, 3]),  # form feed is whitespace
+        (b"P6\n+1 1\n255\n\x01\x02\x03", "malformed PPM header: invalid number b'+1'"),
         (b"P6\t1\t1\t255\t\x01\x02\x03", [1, 2, 3]),
         (b"P6 1 1 255\r\n\x01\x02", [10, 1, 2]),  # "\n" is the first sample
         (b"P6 1 1 255#\n\x01\x02\x03", [1, 2, 3]),
-        (b"P6\n1a 1\n255\n\x01\x02\x03",
-         "malformed PPM header: invalid literal for int() with base 10: b'1a'"),
+        (b"P6\n1\x0c1\n255\n\x01\x02\x03", [1, 2, 3]),  # netpbm's six whitespace bytes
+        (b"P6\x0b1\x0b1\x0b255\x0b\x01\x02\x03", [1, 2, 3]),  # delimit tokens
+        (b"P6\n1a 1\n255\n\x01\x02\x03", "malformed PPM header: invalid number b'1a'"),
+        (b"P6\n1_0 1\n255\n\x01\x02\x03", "malformed PPM header: invalid number b'1_0'"),
         (b"P6\n1 1\n255", "PPM payload truncated: 0 of 3 bytes"),  # header ends the file
         (b"P6 1 1 255#", "PPM payload truncated: 0 of 3 bytes"),
         (b"P6\n# only a comment", "unexpected end of PPM header"),
@@ -231,6 +233,14 @@ class TestPpmIO:
             assert str(exc.value) == expected
         else:
             np.testing.assert_array_equal(read_ppm(path)[:, 0, 0], np.array(expected) / 255)
+
+    def test_width_beyond_the_int_digit_limit_is_a_data_error(self, tmp_path):
+        # 5,000 digits, past the 4,300 that int() converts by default; kept out
+        # of the corpus above, whose ids spell out each header
+        path = tmp_path / "wide.ppm"
+        path.write_bytes(b"P6\n" + b"1" * 5000 + b" 1\n255\n")
+        with pytest.raises(DataError, match="^malformed PPM header: Exceeds the limit"):
+            read_ppm(path)
 
     def test_long_comment_before_end_of_header_fails_fast(self, tmp_path):
         # a comment of spaces and "#"s followed by the end of the file

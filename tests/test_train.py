@@ -15,7 +15,7 @@ import pytest
 import winvit.train as train_mod
 from winvit import tensor as tc
 from winvit.data import SyntheticSpec, generate_synthetic
-from winvit.errors import ConfigError, DivergenceError
+from winvit.errors import ConfigError, ContractError, DivergenceError, WinvitError
 from winvit.model import Model, ModelConfig, classify
 from winvit.train import (
     ADAM_BETA1,
@@ -156,6 +156,98 @@ class TestAdamW:
         state = TrainState.init([("p", p)])
         with pytest.raises(ConfigError):
             adamw_step(state, tc.Gradients({id(p): np.zeros((2,))}), lr=1e-3)
+
+
+def per_parameter_adamw(arrays, grads, t, lr, wd):
+    """The update one parameter at a time, in the operation order of
+    ``adamw_step``; ``arrays`` maps name -> [param, m, v] copies."""
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    for name, (p, m, v) in arrays.items():
+        g = grads.get(name, np.zeros_like(p))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p -= (lr * wd) * p
+
+
+def model_grads(model, seed):
+    """Parameter gradients, by name, of one B=2 train step of ``model``."""
+    rng = np.random.default_rng(seed)
+    images = tc.Tensor(rng.normal(size=(2, 3, 16, 16)).astype(model.head_weight.dtype))
+    with tc.Tape() as tape:
+        loss = cross_entropy(classify(images, model, training=True, rng=rng), np.array([0, 2]))
+    grads = tc.backward(loss, tape)
+    return grads, {name: grads[t] for name, t in model.named_params() if t in grads}
+
+
+class TestTrainStateBuffers:
+    def test_every_parameter_and_moment_is_a_view_of_a_flat_buffer(self):
+        model = Model(ModelConfig(**TINY_MODEL))
+        before = {name: t.data.copy() for name, t in model.named_params()}
+        state = TrainState.init(model.named_params())
+        ((theta, m, v, members),) = state.flats
+        assert theta.ndim == 1 and theta.size == model.param_count()
+        assert len(members) == len(state.params)
+        for name, t in model.named_params():
+            for arr, flat in ((t.data, theta), *zip(state.moments[name], (m, v))):
+                assert arr.shape == before[name].shape and arr.flags.c_contiguous
+                assert arr.base is flat
+            np.testing.assert_array_equal(t.data, before[name])
+
+    def test_bad_gradient_shape_changes_nothing(self):
+        model = Model(ModelConfig(**TINY_MODEL))
+        state = TrainState.init(model.named_params())
+        grads, _ = model_grads(model, 0)
+        adamw_step(state, grads, lr=1e-2, weight_decay=0.05)  # nonzero moments
+        def arrays():
+            return [a for name, t in state.params for a in (t.data, *state.moments[name])]
+
+        snapshot = [a.copy() for a in arrays()]
+        last_name, last = state.params[-1]
+        bad = {id(t): grads[t] for _, t in state.params if t in grads}
+        bad[id(last)] = np.zeros(last.size + 1, dtype=last.dtype)
+        with pytest.raises(ConfigError, match=last_name):
+            adamw_step(state, tc.Gradients(bad), lr=1e-2, weight_decay=0.05)
+        for a, b in zip(arrays(), snapshot):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 1
+
+    def test_rebound_parameter_is_an_error_naming_it(self):
+        model = Model(ModelConfig(**TINY_MODEL))
+        state = TrainState.init(model.named_params())
+        name, t = state.params[3]
+        t.data = t.data.copy()
+        with pytest.raises(WinvitError, match=f"parameter {name}'s data was rebound"):
+            adamw_step(state, tc.Gradients({}), lr=1e-2)
+        assert state.step == 0
+
+    def test_tensor_listed_under_two_names_is_rejected(self):
+        p = tc.Tensor(np.ones(3))
+        with pytest.raises(ContractError, match="two names"):
+            TrainState.init([("a", p), ("b", p)])
+
+    def test_empty_parameter_list_counts_steps(self):
+        state = TrainState.init([])
+        adamw_step(adamw_step(state, tc.Gradients({}), lr=1e-2), tc.Gradients({}), lr=1e-2)
+        assert state.step == 2 and state.flats == [] and state.moments == {}
+
+    @pytest.mark.parametrize("dtype, mode", [(np.float64, "standard"), (np.float32, "shared_qk")])
+    def test_flat_update_matches_per_parameter_update(self, dtype, mode):
+        model = Model(ModelConfig(**TINY_MODEL, sharing_mode=mode)).to_dtype(dtype)
+        state = TrainState.init(model.named_params())
+        arrays = {name: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)]
+                  for name, t in model.named_params()}
+        for step in range(1, 4):
+            grads, by_name = model_grads(model, step)
+            adamw_step(state, grads, lr=1e-2, weight_decay=0.05)
+            per_parameter_adamw(arrays, by_name, step, lr=1e-2, wd=0.05)
+        assert state.step == 3
+        for name, t in model.named_params():
+            assert t.dtype == dtype
+            for got, want in zip((t.data, *state.moments[name]), arrays[name]):
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
