@@ -130,9 +130,9 @@ def _ensure_out(out_dir) -> str:
     return out
 
 
-def cmd_describe(run: RunConfig, out_dir) -> int:
+def cmd_describe(run: RunConfig, args) -> int:
     config = run.model_config()
-    out = _ensure_out(out_dir)
+    out = _ensure_out(args.out)
     windowed = model_cost(config, "windowed")
     global_ = model_cost(config, "global")
     print(render_comparison(windowed, global_))
@@ -144,11 +144,11 @@ def cmd_describe(run: RunConfig, out_dir) -> int:
     return 0
 
 
-def cmd_check(run: RunConfig, f64: bool, fault_bias_sign: bool) -> int:
+def cmd_check(run: RunConfig, args) -> int:
     run.model_config()  # validate geometry keys even though suites pin their own
-    set_fault_bias_sign(fault_bias_sign)
+    set_fault_bias_sign(args.fault_bias_sign)
     try:
-        ok, results = run_suites(tight_gradients=f64)
+        ok, results = run_suites(tight_gradients=args.f64)
     finally:
         set_fault_bias_sign(False)
     width = max(len(name) for name, _, _ in results)
@@ -158,11 +158,15 @@ def cmd_check(run: RunConfig, f64: bool, fault_bias_sign: bool) -> int:
     return 0 if ok else 1
 
 
-def cmd_train(run: RunConfig, out_dir) -> int:
+# the val metrics line of train ("final val: ...") and eval
+_METRICS_LINE = "acc={acc:.4f} pre={precision:.4f} rec={recall:.4f} f1={f1:.4f}"
+
+
+def cmd_train(run: RunConfig, args) -> int:
     config = run.model_config()
     tcfg = run.train_config()
     data = run.datasets()
-    out = _ensure_out(out_dir)
+    out = _ensure_out(args.out)
     model = Model(config)
     echo = run.echo().encode(errors="surrogateescape")  # keeps argv bytes that are not UTF-8
     write_file(os.path.join(out, "config_resolved.txt"), lambda f: f.write(echo), ConfigError)
@@ -179,30 +183,25 @@ def cmd_train(run: RunConfig, out_dir) -> int:
     _, measured = evaluate(model, data["val"]) if len(data["val"].images) else (None, None)
     print(f"trained {state.step} steps; checkpoint: {ckpt}")
     if measured is not None:
-        print(
-            "final val: acc={acc:.4f} pre={precision:.4f} "
-            "rec={recall:.4f} f1={f1:.4f}".format(**measured)
-        )
+        print("final val: " + _METRICS_LINE.format(**measured))
     return 0
 
 
-def _load_model(run: RunConfig, checkpoint, command: str) -> Model:
-    """The model in ``checkpoint``, which must match the run's config."""
-    if checkpoint is None:
-        raise ConfigError(f"{command} requires --checkpoint")
-    return load_checkpoint(checkpoint, run.model_config())
+def _load_model(run: RunConfig, args) -> Model:
+    """The model in ``--checkpoint``, which must match the run's config."""
+    if args.checkpoint is None:
+        raise ConfigError(f"{args.command} requires --checkpoint")
+    return load_checkpoint(args.checkpoint, run.model_config())
 
 
-def cmd_eval(run: RunConfig, checkpoint) -> int:
-    model = _load_model(run, checkpoint, "eval")
+def cmd_eval(run: RunConfig, args) -> int:
+    model = _load_model(run, args)
     data = run.datasets()
     val = data["val"]
     if not len(val.images):
         raise ConfigError("validation split is empty")
     _, measured = evaluate(model, val)
-    print(
-        "acc={acc:.4f} pre={precision:.4f} rec={recall:.4f} f1={f1:.4f}".format(**measured)
-    )
+    print(_METRICS_LINE.format(**measured))
     return 0
 
 
@@ -219,11 +218,11 @@ def _upsample(img: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(img, factor, axis=0), factor, axis=1)
 
 
-def cmd_heatmap(run: RunConfig, checkpoint, image_path, token, out_dir) -> int:
-    model = _load_model(run, checkpoint, "heatmap")
+def cmd_heatmap(run: RunConfig, args) -> int:
+    model = _load_model(run, args)
     config = model.config
-    if image_path is not None:
-        raw = read_ppm(image_path)
+    if args.image is not None:
+        raw = read_ppm(args.image)
         image = Tensor(
             bilinear_resize(raw, config.image_size, config.image_size).astype(np.float32)
         )
@@ -235,11 +234,10 @@ def cmd_heatmap(run: RunConfig, checkpoint, image_path, token, out_dir) -> int:
     g = config.grid
     m = config.window
     tokens = config.tokens
-    if token is None:
-        token = tokens // 2
+    token = tokens // 2 if args.token is None else args.token
     if not 0 <= token < tokens:
         raise ConfigError(f"token index {token} outside [0, {tokens})")
-    out = _ensure_out(out_dir)
+    out = _ensure_out(args.out)
 
     capture = []
     logits = classify(image, model, training=False, capture=capture)
@@ -275,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        """A subcommand with the options every command takes; ``main``
+        calls ``handler(run, args)``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", metavar="PATH", help="key=value config file")
         p.add_argument(
             "--set",
@@ -287,20 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="override the seed key")
         p.add_argument("--out", metavar="DIR", help="output directory (default winvit_out)")
+        return p
 
-    p = sub.add_parser("describe", help="analytical cost tables for both attention variants")
-    common(p)
-    p = sub.add_parser("check", help="run the invariant suites")
-    common(p)
+    command("describe", cmd_describe, "analytical cost tables for both attention variants")
+    p = command("check", cmd_check, "run the invariant suites")
     p.add_argument("--f64", action="store_true", help="tighten the gradient tolerance to 1e-5")
     p.add_argument("--fault-bias-sign", action="store_true", help=argparse.SUPPRESS)
-    p = sub.add_parser("train", help="train on the configured dataset")
-    common(p)
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the val split")
-    common(p)
+    command("train", cmd_train, "train on the configured dataset")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on the val split")
     p.add_argument("--checkpoint", metavar="PATH")
-    p = sub.add_parser("heatmap", help="export spatial-gate and attention maps as PPM")
-    common(p)
+    p = command("heatmap", cmd_heatmap, "export spatial-gate and attention maps as PPM")
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--image", metavar="PPM", help="query image (default: first val sample)")
     p.add_argument("--token", type=int, help="query token index (default: center)")
@@ -311,17 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = RunConfig.load(args.config, args.overrides, args.seed)
-        if args.command == "describe":
-            return cmd_describe(run, args.out)
-        if args.command == "check":
-            return cmd_check(run, args.f64, args.fault_bias_sign)
-        if args.command == "train":
-            return cmd_train(run, args.out)
-        if args.command == "eval":
-            return cmd_eval(run, args.checkpoint)
-        if args.command == "heatmap":
-            return cmd_heatmap(run, args.checkpoint, args.image, args.token, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(run, args)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ tokens followed by one linear layer.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -119,23 +118,20 @@ class Block:
         self.fc2_weight = tc.trunc_normal(rng, (hidden, c), std=math.sqrt(2.0 / hidden))
         self.fc2_bias = tc.zeros((c,))
 
+    def sections(self, prefix=""):
+        """Checkpoint sections (tag, [(name, tensor), ...]): ATTN (ln1 and
+        the attention), SAM (the spatial gate), then FFN (ln2, fc1, dw, fc2)."""
+        attn = [("ln1_gamma", self.ln1_gamma), ("ln1_beta", self.ln1_beta),
+                *(("attn." + name, t) for name, t in self.attn.named_params())]
+        sam = [("sam." + name, t) for name, t in self.sam.named_params()]
+        ffn = [(name, getattr(self, name)) for name in ("ln2_gamma", "ln2_beta", "fc1_weight",
+               "fc1_bias", "dw_kernel", "dw_bias", "fc2_weight", "fc2_bias")]
+        for tag, params in (("ATTN", attn), ("SAM ", sam), ("FFN ", ffn)):
+            yield tag, [(prefix + name, t) for name, t in params]
+
     def named_params(self, prefix=""):
-        """(name, tensor) pairs in checkpoint order: the attention
-        sublayer, the spatial gate, then the feed-forward path."""
-        yield prefix + "ln1_gamma", self.ln1_gamma
-        yield prefix + "ln1_beta", self.ln1_beta
-        for name, t in self.attn.named_params():
-            yield prefix + "attn." + name, t
-        for name, t in self.sam.named_params():
-            yield prefix + "sam." + name, t
-        yield prefix + "ln2_gamma", self.ln2_gamma
-        yield prefix + "ln2_beta", self.ln2_beta
-        yield prefix + "fc1_weight", self.fc1_weight
-        yield prefix + "fc1_bias", self.fc1_bias
-        yield prefix + "dw_kernel", self.dw_kernel
-        yield prefix + "dw_bias", self.dw_bias
-        yield prefix + "fc2_weight", self.fc2_weight
-        yield prefix + "fc2_bias", self.fc2_bias
+        for _, params in self.sections(prefix):
+            yield from params
 
 
 class Model:
@@ -154,13 +150,17 @@ class Model:
         self.head_weight = tc.zeros((c, config.num_classes))
         self.head_bias = tc.zeros((config.num_classes,))
 
-    def named_params(self):
-        yield "patch_weight", self.patch_weight
-        yield "patch_bias", self.patch_bias
+    def sections(self):
+        """Checkpoint sections in file order: PEMB, each block's ATTN / SAM /
+        FFN (see :meth:`Block.sections`), then HEAD."""
+        yield "PEMB", [("patch_weight", self.patch_weight), ("patch_bias", self.patch_bias)]
         for i, block in enumerate(self.blocks):
-            yield from block.named_params(prefix=f"block{i}.")
-        yield "head_weight", self.head_weight
-        yield "head_bias", self.head_bias
+            yield from block.sections(f"block{i}.")
+        yield "HEAD", [("head_weight", self.head_weight), ("head_bias", self.head_bias)]
+
+    def named_params(self):
+        for _, params in self.sections():
+            yield from params
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_params())
@@ -261,10 +261,8 @@ def classify(
 #
 # magic "WMHV1", u32 version, config record, then tagged sections. Each
 # section is a 4-byte tag plus u32 tensor count plus that many tensors in
-# the binary tensor format. Tensors appear in ``Model.named_params`` order,
-# so the sections are PEMB, then per block ATTN / SAM / FFN (layernorms
-# ride with their sublayer), then HEAD. The bias index map is never
-# written; it is a pure function of the window side.
+# the binary tensor format, as ``Model.sections`` declares them. The bias
+# index map is never written; it is a pure function of the window side.
 
 _CONFIG_PACK = "<10qdB"
 # ModelConfig fields in record order; None is the reserved slot, and the
@@ -293,23 +291,6 @@ def _read_config(f) -> ModelConfig:
         raise CheckpointError(f"checkpoint config invalid: {exc}") from exc
 
 
-def _section_tag(name: str) -> str:
-    """The checkpoint section a ``named_params`` entry belongs to."""
-    local = name.split(".", 1)[1] if name.startswith("block") else name
-    for prefix, tag in (("patch_", "PEMB"), ("ln1_", "ATTN"), ("attn.", "ATTN"),
-                        ("sam.", "SAM "), ("head_", "HEAD")):
-        if local.startswith(prefix):
-            return tag
-    return "FFN "
-
-
-def _sections(model: Model):
-    """(tag, [tensor, ...]) in serialization order: runs of consecutive
-    ``named_params`` entries with the same tag."""
-    for tag, run in itertools.groupby(model.named_params(), key=lambda p: _section_tag(p[0])):
-        yield tag, [t for _, t in run]
-
-
 def save_checkpoint(model: Model, path) -> None:
     """Write ``model`` to ``path`` through :func:`tensor.write_file`: on
     failure a file already at ``path`` is left intact; OS errors raise
@@ -319,10 +300,10 @@ def save_checkpoint(model: Model, path) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         _write_config(f, model.config)
-        for tag, tensors in _sections(model):
+        for tag, params in model.sections():
             f.write(tag.encode("ascii"))
-            f.write(struct.pack("<I", len(tensors)))
-            for t in tensors:
+            f.write(struct.pack("<I", len(params)))
+            for _, t in params:
                 tc.write_tensor(t, f)  # looked up per call, so tests can patch it
 
     tc.write_file(path, write, CheckpointError)
@@ -331,9 +312,11 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
     """Rebuild a model from ``path``.
 
-    With ``config`` given, the file must agree with it; a disagreement is
-    reported against the first section whose tensor shapes do not fit.
-    Without it, the config stored in the file is used.
+    With ``config`` given, the file must agree with it in every field but
+    ``seed`` and ``dropout_rate``; a disagreement is reported against the
+    first section whose tensor shapes do not fit, or else as the one field
+    that shapes no tensor, ``image_size``. Without it, the config stored in
+    the file is used.
     """
     raw = tc.read_file(path, CheckpointError, "checkpoint")
     with io.BytesIO(raw) as f:
@@ -354,7 +337,7 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
             if stored.depth * 24 > left or model_cost(stored, "windowed").total_params * 4 > left:
                 raise CheckpointTruncatedError(f"{left} bytes cannot hold the stored config's parameters")
         model = Model(config if config is not None else stored)
-        for tag, tensors in _sections(model):
+        for tag, params in model.sections():
             raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:
                 against = "its stored config" if config is None else "the requested config"
@@ -363,18 +346,22 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
                 )
             raw_count = tc.read_exact(f, 4, CheckpointTruncatedError, f"section {tag!r} header")
             (count,) = struct.unpack("<I", raw_count)
-            if count != len(tensors):
+            if count != len(params):
                 raise CheckpointShapeError(
-                    f"section {tag!r} holds {count} tensors, config expects {len(tensors)}"
+                    f"section {tag!r} holds {count} tensors, config expects {len(params)}"
                 )
-            for t in tensors:
+            for _, t in params:
                 loaded = tc.read_tensor(f)
                 if loaded.shape != t.shape:
                     raise CheckpointShapeError(
                         f"section {tag!r}: stored tensor {loaded.shape} does not fit {t.shape}"
                     )
                 t.data[...] = loaded.data.astype(t.dtype)
-        extra = f.read(1)
-        if extra:
+        if f.read(1):
             raise CheckpointError("trailing bytes after final section")
+    if model.config.image_size != stored.image_size:
+        raise CheckpointShapeError(
+            f"checkpoint holds an image_size {stored.image_size} model, "
+            f"requested config has image_size {model.config.image_size}"
+        )
     return model

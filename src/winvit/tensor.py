@@ -608,16 +608,21 @@ def gelu(a: Tensor) -> Tensor:
     cdf = _erf(x * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-    with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0 = NaN
-        out = x * cdf
+    # x * cdf and the backward's x * pdf are inf * 0 at x = +-inf; there
+    # they take their limits, gelu(-inf) = -0 and gelu'(+-inf) = cdf
+    inf = np.isinf(x)
+    keep = ~inf if inf.any() else True
+    out = x * cdf if keep is True else np.multiply(x, cdf, out=np.maximum(x, -0.0), where=keep)
 
     def bwd(g):
-        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi); x * x
+        # overflows to inf past |x| ~ 1.8e19 in float32, where pdf is 0
         grad = np.multiply(x, -0.5)
-        grad *= x
+        with np.errstate(over="ignore"):
+            grad *= x
         np.exp(grad, out=grad)
         grad *= _INV_SQRT2PI
-        grad *= x
+        np.multiply(grad, x, out=grad, where=keep)
         grad += cdf
         grad *= g
         return (grad,)
@@ -885,6 +890,12 @@ def channel_pool(x: Tensor, mode: str) -> Tensor:
     return _emit(data, (x,), bwd)
 
 
+def check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise :class:`ContractError` unless every label lies in [0, k)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ContractError(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
+
+
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of ``labels`` under ``softmax(logits)``.
 
@@ -898,8 +909,7 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     b, k = logits.shape
     if labels.shape != (b,):
         raise ShapeError(f"labels must be ({b},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ContractError(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
+    check_labels(labels, k)
     x = logits.data
     m = x.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))

@@ -215,6 +215,7 @@ def metrics(confusion: np.ndarray) -> dict:
 def evaluate(model: Model, dataset) -> tuple[np.ndarray, dict]:
     """Confusion matrix and metrics for ``dataset`` in eval mode."""
     k = model.config.num_classes
+    tc.check_labels(np.asarray(dataset.labels), k)
     confusion = np.zeros((k, k), dtype=np.int64)
     for image, label in zip(dataset.images, dataset.labels):
         logits = classify(image, model, training=False)

@@ -273,6 +273,14 @@ class TestTrainEval:
         assert code == 3
         assert "checkpoint error" in capsys.readouterr().err
 
+    def test_eval_at_another_image_size_exits_3(self, tmp_path, capsys):
+        # image_size shapes no tensor, so only the config check catches it
+        ckpt = tmp_path / "tiny.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        code = main(["eval", *TINY, "--set", "image_size=8", "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert_one_error_line(capsys, "checkpoint error: checkpoint holds an image_size 16 model")
+
     def test_eval_without_checkpoint_flag_exits_2(self, capsys):
         assert main(["eval", *TINY]) == 2
 

@@ -482,6 +482,37 @@ class TestCheckpoints:
         back = load_checkpoint(path, config=cfg)
         np.testing.assert_array_equal(back.head_weight.data, m.head_weight.data)
 
+    def test_requested_config_may_differ_only_in_seed_and_dropout(self, tmp_path):
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(small_config()), path)
+        back = load_checkpoint(path, config=small_config(seed=5, dropout_rate=0.5))
+        assert (back.config.seed, back.config.dropout_rate) == (5, 0.5)
+        # image_size shapes no tensor: a 16 px checkpoint fits an 8 px config
+        with pytest.raises(CheckpointShapeError, match="image_size 16 model, requested config has image_size 8"):
+            load_checkpoint(path, config=small_config(image_size=8))
+
+    @pytest.mark.parametrize("fields", [{}, dict(sharing_mode="shared_qk"), dict(depth=0)],
+                             ids=["standard", "shared_qk", "depth0"])
+    def test_sections_declare_the_v1_layout(self, fields):
+        cfg = small_config(**{"depth": 2, **fields})
+        m = Model(cfg)
+        sections = [(tag, [name for name, _ in params]) for tag, params in m.sections()]
+        attn = ["w_qk"] if cfg.sharing_mode == "shared_qk" else ["w_q", "w_k"]
+        attn += ["w_v", "w_o", "b_q", "b_k", "b_v", "b_o", "bias_table"]
+        want = [("PEMB", ["patch_weight", "patch_bias"])]
+        for i in range(cfg.depth):
+            b = f"block{i}."
+            want += [
+                ("ATTN", [b + "ln1_gamma", b + "ln1_beta", *(b + "attn." + n for n in attn)]),
+                ("SAM ", [b + "sam.conv_kernel", b + "sam.conv_bias"]),
+                ("FFN ", [b + n for n in ("ln2_gamma", "ln2_beta", "fc1_weight", "fc1_bias",
+                                          "dw_kernel", "dw_bias", "fc2_weight", "fc2_bias")]),
+            ]
+        want.append(("HEAD", ["head_weight", "head_bias"]))
+        assert sections == want
+        flat = [(name, t) for _, params in m.sections() for name, t in params]
+        assert [(n, id(t)) for n, t in flat] == [(n, id(t)) for n, t in m.named_params()]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.wmh"
         path.write_bytes(b"NOPE!" + b"\x00" * 64)

@@ -530,3 +530,12 @@ class TestEvaluate:
         model = Model(ModelConfig(**TINY_MODEL))
         confusion, _ = evaluate(model, data["val"])
         assert confusion.sum() == len(data["val"].images)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_is_a_contract_error(self, bad):
+        # -1 would index the last class's row, and num_classes would be
+        # numpy's IndexError; both are the train path's ContractError
+        val = tiny_data()["val"]
+        val.labels[1] = bad
+        with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
+            evaluate(Model(ModelConfig(**TINY_MODEL)), val)
