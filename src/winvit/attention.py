@@ -87,10 +87,13 @@ def _regroup(x: Tensor, split: tuple, shape: tuple) -> Tensor:
     """One tape node: ``x`` viewed as ``split`` with axes 1 and 2 swapped,
     copied and viewed as ``shape``. The swap is its own inverse."""
     data = np.ascontiguousarray(x.data.reshape(split).swapaxes(1, 2)).reshape(shape)
+    if not tc._TAPES:
+        return tc._emit(data, (x,), None)
+    x_shape = x.shape
 
     def bwd(g):
         swapped = (split[0], split[2], split[1], *split[3:])
-        return (np.ascontiguousarray(g.reshape(swapped).swapaxes(1, 2)).reshape(x.shape),)
+        return (np.ascontiguousarray(g.reshape(swapped).swapaxes(1, 2)).reshape(x_shape),)
 
     return tc._emit(data, (x,), bwd)
 

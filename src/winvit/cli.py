@@ -180,10 +180,10 @@ def cmd_train(run: RunConfig, args) -> int:
     )
     ckpt = os.path.join(out, "checkpoint.wmh")
     save_checkpoint(model, ckpt)
-    _, measured = evaluate(model, data["val"]) if len(data["val"].images) else (None, None)
     print(f"trained {state.step} steps; checkpoint: {ckpt}")
-    if measured is not None:
-        print("final val: " + _METRICS_LINE.format(**measured))
+    # train_loop evaluates at its final step, on the weights just saved
+    if state.last_val is not None:
+        print("final val: " + _METRICS_LINE.format(**state.last_val))
     return 0
 
 

@@ -19,7 +19,11 @@ tally its MACs (if any) with ``_count``, define ``bwd(g)`` that maps the
 output's gradient to a tuple holding one gradient (or None) per input, and
 return ``_emit(data, inputs, bwd)``. The tape stores ``bwd`` as the node's
 backward; without a tape it is dropped, so work that only the backward
-needs (argsorts, argmax indices) belongs inside ``bwd``.
+needs (argsorts, argmax indices) belongs inside ``bwd``. The tape does not
+keep an op's output, so ``bwd`` should capture only what it reads: an
+input's shape rather than the input. State that the forward does not
+already hold (a shape, gelu's derivative) is built only under a tape;
+off the tape such an op emits ``None`` as its backward.
 
 FLOP convention (documented once, used everywhere): a counter tallies only
 matrix products and convolutions, at 2 FLOPs per multiply-accumulate, per
@@ -27,10 +31,10 @@ matrix products and convolutions, at 2 FLOPs per multiply-accumulate, per
 analytical counts of ``costs.model_cost``; elementwise ops, normalization
 and softmax are not counted.
 
-Allocator policy: a train step frees its whole graph at once, and glibc's
-malloc would then hand the heap top back to the OS and fault it back in on
-the next step (about 4,000 minor page faults per desk B=8 step). On glibc,
-importing this module therefore fixes malloc's trim threshold at 256 MiB
+Allocator policy: a train step has freed its whole graph by its end, and
+glibc's malloc would then hand the heap top back to the OS and fault it
+back in on the next step (about 4,000 minor page faults per desk B=8
+step). On glibc, importing this module therefore fixes malloc's trim threshold at 256 MiB
 and its mmap threshold at 32 MiB through ``mallopt``, once per process.
 A threshold the environment sets (``MALLOC_TRIM_THRESHOLD_``,
 ``MALLOC_MMAP_THRESHOLD_`` or its ``glibc.malloc`` tunable) is left to it,
@@ -41,6 +45,7 @@ The policy changes where memory comes from, never a computed value.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 import struct
@@ -69,6 +74,9 @@ _INV_SQRT2PI = 0.3989422804014327
 _TAPES: list = []
 _COUNTERS: list = []
 _SCOPES: list = []
+
+# tape serial numbers; a stamp names its tape by serial, not by reference
+_TAPE_SERIALS = itertools.count()
 
 # the thresholds the allocator policy sets, as (mallopt parameter, value,
 # glibc's name): M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
@@ -108,9 +116,12 @@ class Tensor:
     ``data`` is always a C-contiguous float32 or float64 numpy array and
     ``product(shape) == data.size`` by construction. Zero-length axes are
     rejected; a rank-0 tensor is the scalar case.
+
+    An op's output under a tape carries ``_stamp``, (tape serial, node
+    index); every other tensor leaves the slot unset.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_stamp")
 
     def __init__(self, values, dtype=None):
         # Op results are already valid: a C-contiguous float32/float64
@@ -165,6 +176,11 @@ class Tensor:
 
 
 class TapeNode:
+    """One op on a tape. ``output`` is the node's index on its tape. Each of
+    ``inputs`` is the index of the node that made that input on the same
+    tape, or else the input tensor itself, a leaf. ``backward`` is the op's
+    closure, dropped once :func:`backward` has run it."""
+
     __slots__ = ("output", "inputs", "backward")
 
     def __init__(self, output, inputs, backward):
@@ -175,10 +191,17 @@ class TapeNode:
 
 class Tape:
     """Ordered record of ops; execution order is a topological order, so
-    replaying ``nodes`` in reverse visits consumers before producers."""
+    replaying ``nodes`` in reverse visits consumers before producers.
+
+    A tape holds its leaves and the ops' backward closures, not the ops'
+    outputs: an intermediate array lives only while a tensor or a closure
+    still refers to it. :func:`backward` replays a tape once.
+    """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.serial = next(_TAPE_SERIALS)
+        self.replayed = False
 
     def __enter__(self):
         _TAPES.append(self)
@@ -239,10 +262,23 @@ def flop_scope(label: str):
 
 def _emit(data, inputs, backward) -> Tensor:
     """The last step of an op: wrap ``data`` and, under a tape, record a
-    node whose ``backward(g)`` returns one gradient or None per input."""
+    node whose ``backward(g)`` returns one gradient or None per input.
+
+    The node refers to an input made on the same tape by that input's node
+    index, so the tape does not keep the input's array alive; any other
+    input is a leaf and is kept.
+    """
     out = Tensor(data)
     if _TAPES:
-        _TAPES[-1].nodes.append(TapeNode(out, inputs, backward))
+        tape = _TAPES[-1]
+        serial, nodes = tape.serial, tape.nodes
+        index = len(nodes)
+        out._stamp = (serial, index)
+        refs = []
+        for t in inputs:
+            stamp = getattr(t, "_stamp", None)
+            refs.append(stamp[1] if stamp is not None and stamp[0] == serial else t)
+        nodes.append(TapeNode(index, tuple(refs), backward))
     return out
 
 
@@ -277,28 +313,41 @@ def backward(loss: Tensor, tape: Tape) -> Gradients:
     additively where a tensor feeds several consumers.
 
     A node's output gradient is complete once the node runs, so it is
-    dropped there: only leaf gradients are returned.
+    dropped there: only leaf gradients are returned. Each node's closure is
+    dropped as the replay passes it, so the arrays it held are freed as the
+    replay goes, and the tape cannot be replayed again.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(node.output is loss for node in tape.nodes):
+    stamp = getattr(loss, "_stamp", None)
+    if stamp is None or stamp[0] != tape.serial:
         raise ContractError("loss was not produced on this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if tape.replayed:
+        raise ContractError("this tape was already replayed by backward")
+    tape.replayed = True
+    # node gradients by node index, leaf gradients by tensor identity
+    pending: dict[int, np.ndarray] = {stamp[1]: np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {}
     for node in reversed(tape.nodes):
-        gout = grads.pop(id(node.output), None)
+        bwd, node.backward = node.backward, None
+        gout = pending.pop(node.output, None)
         if gout is None:
             continue
-        gins = node.backward(gout)
+        gins = bwd(gout)
         if len(gins) != len(node.inputs):
             raise ContractError(
                 f"a backward returned {len(gins)} gradients for {len(node.inputs)} inputs"
             )
-        for inp, gin in zip(node.inputs, gins):
+        for ref, gin in zip(node.inputs, gins):
             if gin is None:
                 continue
-            slot = id(inp)
-            acc = grads.get(slot)
-            grads[slot] = gin if acc is None else acc + gin
+            if type(ref) is int:
+                acc = pending.get(ref)
+                pending[ref] = gin if acc is None else acc + gin
+            else:
+                slot = id(ref)
+                acc = grads.get(slot)
+                grads[slot] = gin if acc is None else acc + gin
     return Gradients(grads)
 
 
@@ -356,9 +405,12 @@ def add(a: Tensor, b) -> Tensor:
         return _emit(data, (a,), lambda g: (g,))
     bd = b.data
     data = ad + bd
+    if not _TAPES:
+        return _emit(data, (a, b), None)
+    a_shape, b_shape = ad.shape, bd.shape
 
     def bwd(g):
-        return _unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _emit(data, (a, b), bwd)
 
@@ -369,9 +421,12 @@ def sub(a: Tensor, b) -> Tensor:
         data = a.data - c
         return _emit(data, (a,), lambda g: (g,))
     data = a.data - b.data
+    if not _TAPES:
+        return _emit(data, (a, b), None)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
     return _emit(data, (a, b), bwd)
 
@@ -433,11 +488,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
-
-    def bwd(g):
-        return (np.ascontiguousarray(g).reshape(a.shape),)
-
-    return _emit(data, (a,), bwd)
+    if not _TAPES:
+        return _emit(data, (a,), None)
+    a_shape = a.shape
+    return _emit(data, (a,), lambda g: (np.ascontiguousarray(g).reshape(a_shape),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -498,15 +552,18 @@ def _reduce(a: Tensor, axes, keepdims: bool, mean: bool) -> Tensor:
     total = a.data.sum(axis=axes, keepdims=keepdims)
     count = a.size // total.size
     data = total / count if mean else total
+    if not _TAPES:
+        return _emit(data, (a,), None)
+    a_shape = a.shape
 
     def bwd(g):
         if not keepdims:
-            g = np.expand_dims(g, tuple(range(a.ndim)) if axes is None else axes)
+            g = np.expand_dims(g, tuple(range(len(a_shape))) if axes is None else axes)
         if mean:
             g = g / count
         # C order: astype would keep the broadcast's axis order, and later
         # sums over this gradient would run in that order
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
     return _emit(data, (a,), bwd)
 
@@ -604,30 +661,28 @@ def _erf(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     x = a.data
     # cdf = 0.5 * (1 + erf(x / sqrt 2)); scaling by 0.5 is exact, so x * cdf
-    # is 0.5 * x * (1 + erf) to the bit, and the backward reuses cdf.
+    # is 0.5 * x * (1 + erf) to the bit, and the derivative reuses cdf.
     cdf = _erf(x * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-    # x * cdf and the backward's x * pdf are inf * 0 at x = +-inf; there
+    # x * cdf and the derivative's x * pdf are inf * 0 at x = +-inf; there
     # they take their limits, gelu(-inf) = -0 and gelu'(+-inf) = cdf
     inf = np.isinf(x)
     keep = ~inf if inf.any() else True
     out = x * cdf if keep is True else np.multiply(x, cdf, out=np.maximum(x, -0.0), where=keep)
-
-    def bwd(g):
-        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi); x * x
-        # overflows to inf past |x| ~ 1.8e19 in float32, where pdf is 0
-        grad = np.multiply(x, -0.5)
-        with np.errstate(over="ignore"):
-            grad *= x
-        np.exp(grad, out=grad)
-        grad *= _INV_SQRT2PI
-        np.multiply(grad, x, out=grad, where=keep)
-        grad += cdf
-        grad *= g
-        return (grad,)
-
-    return _emit(out, (a,), bwd)
+    if not _TAPES:
+        return _emit(out, (a,), None)
+    # Under a tape the backward keeps one array, the derivative
+    # cdf + x * pdf, pdf = exp(-0.5 * x * x) / sqrt(2 pi); x * x overflows
+    # to inf past |x| ~ 1.8e19 in float32, where pdf is 0.
+    deriv = np.multiply(x, -0.5)
+    with np.errstate(over="ignore"):
+        deriv *= x
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT2PI
+    np.multiply(deriv, x, out=deriv, where=keep)
+    deriv += cdf
+    return _emit(out, (a,), lambda g: (g * deriv,))
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:

@@ -67,11 +67,13 @@ class TrainState:
     the moments are views of two more flat buffers. ``flats`` holds, per
     dtype, the parameter, m and v buffers and each parameter's (name,
     tensor, data view, (m, v) views); ``params`` and ``moments`` are read
-    from it.
+    from it. :func:`train_loop` sets ``last_val`` to the metrics of its
+    latest val-split evaluation.
     """
 
     flats: list = field(repr=False)
     step: int = 0
+    last_val: dict | None = None
 
     @classmethod
     def init(cls, named_params) -> "TrainState":
@@ -246,7 +248,8 @@ def train_loop(
     be smaller. Per step the row holds step, lr, loss; at evaluation points
     (every ``eval_every`` steps, default once per epoch, plus the final
     step) the val-split accuracy/precision/recall/F1 fill the remaining
-    columns and a checkpoint is written when ``checkpoint_dir`` is given.
+    columns, ``state.last_val`` holds them, and a checkpoint is written when
+    ``checkpoint_dir`` is given.
     """
     n = len(train_set.images)
     if n == 0:
@@ -301,6 +304,7 @@ def train_loop(
                     if state.step % eval_every == 0 or state.step == total_steps:
                         if len(val_set.images):
                             _, measured = evaluate(model, val_set)
+                            state.last_val = measured
                         if checkpoint_dir is not None:
                             save_checkpoint(
                                 model, os.path.join(checkpoint_dir, f"ckpt_step{state.step}.wmh")

@@ -246,6 +246,29 @@ class TestTrainEval:
         for key in ("pre=", "rec=", "f1="):
             assert key in line
 
+    def test_train_evaluates_val_once_per_eval_point(self, tmp_path, capsys, monkeypatch):
+        # "final val:" reports train_loop's evaluation at the final step;
+        # train does not evaluate the same weights again
+        import winvit.cli as cli_mod
+        import winvit.train as train_mod
+
+        evaluate, measured = train_mod.evaluate, []
+
+        def counting(model, dataset):
+            result = evaluate(model, dataset)
+            measured.append(result[1])
+            return result
+
+        monkeypatch.setattr(train_mod, "evaluate", counting)
+        monkeypatch.setattr(cli_mod, "evaluate", counting)
+        out = tmp_path / "run"
+        assert main(["train", *TINY, "--set", "epochs=2", "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().strip().split("\n")[1:]
+        assert len(measured) == sum(1 for row in rows if not row.endswith(",,,,")) == 2
+        final = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("final val: ")]
+        assert final == ["final val: " + cli_mod._METRICS_LINE.format(**measured[-1])]
+        assert final[0].split()[2] == f"acc={float(rows[-1].split(',')[3]):.4f}"
+
     def test_eval_untrained_checkpoint_is_exact_chance(self, tmp_path, capsys):
         # zero head -> constant logits -> all predictions class 0 -> the
         # balanced synthetic val split scores exactly 1/3

@@ -667,6 +667,56 @@ class TestGradients:
         with pytest.raises(ContractError, match="1 gradients for 2 inputs"):
             tc.backward(loss, tape)
 
+    def test_second_backward_on_a_tape_rejected(self):
+        x = tc.ones((3,))
+        with tc.Tape() as tape:
+            loss = tc.reduce_sum(tc.mul(x, x))
+        tc.backward(loss, tape)
+        # the first replay dropped every backward closure
+        assert all(node.backward is None for node in tape.nodes)
+        with pytest.raises(ContractError, match="already replayed"):
+            tc.backward(loss, tape)
+
+    def test_tensor_from_an_earlier_tape_is_a_leaf(self):
+        x = tc.Tensor(np.array([1.0, 2.0, 3.0]))
+        with tc.Tape() as first:
+            y = tc.mul(x, 2.0)
+        with tc.Tape() as second:
+            # y is node 0 of the first tape; here it is a leaf, not node 0
+            z = tc.mul(tc.sigmoid(x), 1.0)
+            loss = tc.reduce_sum(tc.mul(y, z))
+        assert second.nodes[2].inputs[0] is y
+        grads = tc.backward(loss, second)
+        assert len(grads) == 2
+        np.testing.assert_array_equal(grads[y], z.data)
+        assert x in grads and len(first) == 1
+
+    def test_gradients_survive_tensor_id_reuse(self):
+        # Each loop drops its op outputs, so later tensors, the leaf shift
+        # among them, reuse their ids while the tape still routes gradients
+        # to the nodes that made them.
+        rng = np.random.default_rng(166)
+        x = tc.Tensor(rng.normal(size=(5,)))
+        w = tc.Tensor(rng.normal(size=(5,)))
+        ids = []
+
+        def loss_fn():
+            ids.clear()
+            acc = tc.mul(x, 0.5)
+            for i in range(40):
+                shift = tc.Tensor(np.full(5, 0.05 * i))
+                s = tc.add(x, shift)
+                t = tc.sigmoid(tc.mul(s, w))
+                acc = tc.add(acc, tc.mul(t, acc))
+                acc = tc.mul(acc, 0.5)
+                ids.extend((id(shift), id(s), id(t), id(acc)))
+            return tc.reduce_sum(acc)
+
+        with tc.Tape():
+            loss_fn()
+        assert len(set(ids)) < len(ids)
+        assert tc.finite_difference_check(loss_fn, [x, w], eps=1e-6) < 1e-7
+
     def test_no_tape_records_nothing(self):
         t = tc.Tape()
         with t:
