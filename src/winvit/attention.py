@@ -192,15 +192,32 @@ class WindowAttentionParams:
         return sum(t.size for _, t in self.named_params())
 
 
+def _project(x2: np.ndarray, params: WindowAttentionParams):
+    """``[w_q | w_k | w_v]`` and the q/k/v buffer it makes from the rows
+    ``x2`` (n, C): one GEMM, then the stacked biases."""
+    w_qkv = np.concatenate((params.w_q.data, params.w_k.data, params.w_v.data), axis=1)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate((params.b_q.data, params.b_k.data, params.b_v.data))
+    return w_qkv, qkv
+
+
+def _merge_heads(z: np.ndarray) -> np.ndarray:
+    """Per-head outputs (..., h, T, d) merged back to rows (n, h*d)."""
+    return z.swapaxes(-3, -2).reshape(-1, z.shape[-3] * z.shape[-1])
+
+
 def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, rng):
     """Attention over the T tokens of every (T, C) slice of ``x`` (..., T, C)
     as one tape node with a hand-written backward. Returns the output and,
     as arrays, the biased scores and the (post-dropout) weights.
 
     One GEMM against ``[w_q | w_k | w_v]`` fills a q/k/v buffer whose heads
-    are views; the backward keeps ``x``, that buffer, the probabilities, the
-    merged heads and the dropout masks. A shared q/k matrix is two inputs,
-    so the tape sums both roles.
+    are views. The backward keeps ``x``, the probabilities and the dropout
+    masks; it rebuilds the cheap rest, the stacked weight, the q/k/v buffer
+    and the merged heads, with the forward's own calls (:func:`_project`,
+    :func:`_merge_heads`), so they have the forward's bits. It reads the
+    parameters again, so they must not change between the forward and the
+    backward. A shared q/k matrix is two inputs, so the tape sums both roles.
     """
     xd = x.data
     *lead, t, c = xd.shape
@@ -216,11 +233,8 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
     inputs = (x, params.w_q, params.w_k, params.w_v, params.w_o,
               params.b_q, params.b_k, params.b_v, params.b_o)
     fault = _FAULT_BIAS_SIGN
-
-    w_qkv = np.concatenate((params.w_q.data, params.w_k.data, params.w_v.data), axis=1)
     x2 = xd.reshape(-1, c)
-    qkv = x2 @ w_qkv
-    qkv += np.concatenate((params.b_q.data, params.b_k.data, params.b_v.data))
+    _, qkv = _project(x2, params)
     q, k, v = qkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
     scores = q @ k.swapaxes(-1, -2)
     scale = scores.dtype.type(1.0 / math.sqrt(d))
@@ -234,9 +248,8 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     p_mask = tc._dropout_mask(p.shape, p.dtype, drop, rng) if drop else None
     attn = p * p_mask if drop else p
-    merged = (attn @ v).swapaxes(-3, -2).reshape(-1, c)
     w_o = params.w_o.data
-    out = merged @ w_o
+    out = _merge_heads(attn @ v) @ w_o
     out += params.b_o.data
     o_mask = tc._dropout_mask(out.shape, out.dtype, drop, rng) if drop else None
     if drop:
@@ -247,8 +260,13 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
             tc._count(2 * scores.size * d)
         with tc.flop_scope("weighted_sum"):
             tc._count(2 * scores.size * d)
+    if not tc._TAPES:
+        return tc._emit(out.reshape(xd.shape), inputs, None), scores, attn
 
     def bwd(g):
+        w_qkv, qkv = _project(x2, params)
+        q, k, v = qkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
+        attn = p * p_mask if drop else p
         g2 = g.reshape(-1, c)
         if drop:
             g2 = g2 * o_mask
@@ -269,11 +287,11 @@ def _mha(x: Tensor, params: WindowAttentionParams, bias: bool, training: bool, r
         gq, gk, gv = gqkv.reshape(*lead, t, 3, h, d).transpose(to_heads)
         gq[...] = gs @ k
         gk[...] = gs.swapaxes(-1, -2) @ q
-        gv[...] = (p * p_mask if drop else p).swapaxes(-1, -2) @ gz
+        gv[...] = attn.swapaxes(-1, -2) @ gz
         gw = [np.ascontiguousarray(w) for w in np.split(x2.T @ gqkv, 3, axis=1)]
         gx = (gqkv @ w_qkv.T).reshape(xd.shape)
         gb = np.split(gqkv.sum(axis=0), 3)
-        return (gx, *gw, merged.T @ g2, *gb, g2.sum(axis=0), *g_table)
+        return (gx, *gw, _merge_heads(attn @ v).T @ g2, *gb, g2.sum(axis=0), *g_table)
 
     return tc._emit(out.reshape(xd.shape), inputs, bwd), scores, attn
 

@@ -293,8 +293,12 @@ def _read_config(f) -> ModelConfig:
 
 def save_checkpoint(model: Model, path) -> None:
     """Write ``model`` to ``path`` through :func:`tensor.write_file`: on
-    failure a file already at ``path`` is left intact; OS errors raise
+    failure a file already at ``path`` is left intact; OS errors, and a
+    parameter that holds a non-finite value, raise
     :class:`CheckpointError`."""
+    for name, t in model.named_params():
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"parameter {name} holds a non-finite value; {path} not written")
 
     def write(f):
         f.write(CHECKPOINT_MAGIC)

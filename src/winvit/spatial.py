@@ -73,6 +73,8 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
         out += fd
     else:
         out = gate_kept
+    if not tc._TAPES:
+        return tc._emit(np.moveaxis(out, -1, -3) if first else out, (f, kernel, bias), None)
 
     def bwd(g):
         # C-contiguous after the move, or the max += below lands in a copy
@@ -93,7 +95,16 @@ def _gate(f: Tensor, params: SamParams, channel_axis: int, residual: bool) -> Te
         gf.reshape(-1)[np.arange(idx.size) * c + idx] += gdesc[..., 1].reshape(-1)
         return (np.moveaxis(gf, -1, -3) if first else gf), gk, gb
 
-    return tc._emit(np.moveaxis(out, -1, -3) if first else out, (f, kernel, bias), bwd)
+    y = tc._emit(np.moveaxis(out, -1, -3) if first else out, (f, kernel, bias), bwd)
+    if residual:
+
+        def recipe():
+            # the forward's two ops, on fd and the gate that bwd holds
+            out = fd * gate_kept + fd
+            return np.ascontiguousarray(np.moveaxis(out, -1, -3)) if first else out
+
+        y._recipe = recipe
+    return y
 
 
 def sam_map(f: Tensor, params: SamParams, channel_axis: int = -3) -> Tensor:

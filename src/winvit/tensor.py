@@ -25,6 +25,14 @@ input's shape rather than the input. State that the forward does not
 already hold (a shape, gelu's derivative) is built only under a tape;
 off the tape such an op emits ``None`` as its backward.
 
+Recipes: under a tape, an op may store in its output's ``_recipe`` slot a
+function that rebuilds the output's data, so a consumer that would keep
+the output for its backward keeps the recipe instead (``matmul`` does,
+for its 2-D weight path). A recipe refers only to arrays that its
+producer's backward already holds, and it rebuilds the output with the
+forward's own ops, in the forward's order, so the rebuilt array has the
+forward's bits. The layernorm and the residual spatial gate set one.
+
 FLOP convention (documented once, used everywhere): a counter tallies only
 matrix products and convolutions, at 2 FLOPs per multiply-accumulate, per
 ``flop_scope`` label. That tally is exact and is reconciled against the
@@ -118,10 +126,11 @@ class Tensor:
     rejected; a rank-0 tensor is the scalar case.
 
     An op's output under a tape carries ``_stamp``, (tape serial, node
-    index); every other tensor leaves the slot unset.
+    index), and may carry ``_recipe`` (see the module docstring); every
+    other tensor leaves both slots unset.
     """
 
-    __slots__ = ("data", "_stamp")
+    __slots__ = ("data", "_stamp", "_recipe")
 
     def __init__(self, values, dtype=None):
         # Op results are already valid: a C-contiguous float32/float64
@@ -468,16 +477,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if k != b_shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a_shape} @ {b_shape}")
     if fold:
-        rows = ad.reshape(-1, k)
-        data = (rows @ bd).reshape(*a_shape[:-1], b_shape[1])
+        data = (ad.reshape(-1, k) @ bd).reshape(*a_shape[:-1], b_shape[1])
     else:
         data = np.matmul(ad, bd)
     _count(2 * data.size * k)
+    if not _TAPES:
+        return _emit(data, (a, b), None)
+    if fold:
+        # the backward keeps a's recipe, when a has one, instead of a's data
+        rebuild = getattr(a, "_recipe", None) or (lambda: ad)
+
+        def bwd_fold(g):
+            g = g.reshape(-1, b_shape[1])
+            return (g @ bd.T).reshape(a_shape), rebuild().reshape(-1, k).T @ g
+
+        return _emit(data, (a, b), bwd_fold)
 
     def bwd(g):
-        if fold:
-            g = g.reshape(-1, b_shape[1])
-            return (g @ bd.T).reshape(a_shape), rows.T @ g
         ga = np.matmul(g, bd.swapaxes(-1, -2))
         gb = np.matmul(ad.swapaxes(-1, -2), g)
         return _unbroadcast(ga, a_shape), _unbroadcast(gb, b_shape)
@@ -604,6 +620,9 @@ def sigmoid(a: Tensor) -> Tensor:
 # about the left end makes erf(0) = 0 and erf(+-6) = +-1 exact.
 _ERF_SPAN = 6.0
 _ERF_CELLS = 2048
+# _erf runs a larger array in chunks of this many elements, so its index
+# and scratch arrays (16 bytes an element in float32) stay chunk-sized
+_ERF_CHUNK = 1 << 15
 
 
 def _erf_table(dtype) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -639,11 +658,17 @@ def _erf_table(dtype) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 _ERF_TABLES = {np.dtype(t): _erf_table(t) for t in (np.float32, np.float64)}
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _erf(x: np.ndarray, out=None) -> np.ndarray:
     """erf of a float32 or float64 array, in its dtype, by Horner with one
-    ``take`` per coefficient. NaN maps to NaN and +-inf to +-1."""
+    ``take`` per coefficient, written to the flat ``out`` when given. NaN
+    maps to NaN and +-inf to +-1."""
     starts, coef = _ERF_TABLES[x.dtype]
     flat = x.reshape(-1)
+    if flat.size > _ERF_CHUNK:
+        p = np.empty_like(flat) if out is None else out
+        for lo in range(0, flat.size, _ERF_CHUNK):
+            _erf(flat[lo : lo + _ERF_CHUNK], p[lo : lo + _ERF_CHUNK])
+        return p.reshape(x.shape)
     dx = np.abs(flat)
     np.minimum(dx, _ERF_SPAN, out=dx)
     # fmin sends NaN to the last cell's index, while dx keeps it. The index
@@ -651,7 +676,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
     cell = dx * (_ERF_CELLS / _ERF_SPAN)
     idx = np.fmin(cell, _ERF_CELLS, out=cell).astype(np.intp)
     dx -= starts.take(idx, out=cell, mode="clip")
-    p = coef[0].take(idx)
+    p = coef[0].take(idx, None, out, "clip")  # (indices, axis, out, mode)
     for ck in coef[1:]:
         p *= dx
         p += ck.take(idx, out=cell, mode="clip")
@@ -717,9 +742,11 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     var = out.sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    gd = gamma.data
+    gd, bd = gamma.data, beta.data
     np.multiply(xhat, gd, out=out)
-    out += beta.data
+    out += bd
+    if not _TAPES:
+        return _emit(out, (x, gamma, beta), None)
 
     def bwd(g):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
@@ -737,7 +764,9 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
         dx *= inv
         return dx, dgamma, dbeta
 
-    return _emit(out, (x, gamma, beta), bwd)
+    y = _emit(out, (x, gamma, beta), bwd)
+    y._recipe = lambda: xhat * gd + bd  # the forward's two ops, in order
+    return y
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -830,14 +859,8 @@ def _conv_backward(g: np.ndarray, xb: np.ndarray, k: np.ndarray, padding: int):
     dense = k.ndim == 4
     kh, kw = k.shape[:2]
     h, w = xb.shape[1:3]
-    # The input gradient is the correlation of g with the flipped kernel.
-    # Padding g by k-1-padding yields exactly the unpadded input; a padding
-    # above k-1 leaves a border to crop.
-    flipped = k[::-1, ::-1].swapaxes(2, 3) if dense else k[::-1, ::-1]
-    qy, qx = kh - 1 - padding, kw - 1 - padding
-    gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
-    cy, cx = max(-qy, 0), max(-qx, 0)
-    gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w])
+    # The kernel gradient first: its padded copies of x and g are freed
+    # before the input gradient pads g again.
     taps, (ho, wo, row) = _tap_view(xb, kh, kw, padding, padding)
     grow = np.zeros((g.shape[0], ho, row, g.shape[-1]), dtype=g.dtype)
     grow[:, :, :wo] = g
@@ -848,7 +871,17 @@ def _conv_backward(g: np.ndarray, xb: np.ndarray, k: np.ndarray, padding: int):
         gk = gk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
     else:
         gk = np.einsum("bnc,byxnc->cyx", grow, taps)
-    return gx, np.ascontiguousarray(gk), g.reshape(-1, g.shape[-1]).sum(axis=0)
+    gk = np.ascontiguousarray(gk)
+    del taps, grow
+    # The input gradient is the correlation of g with the flipped kernel.
+    # Padding g by k-1-padding yields exactly the unpadded input; a padding
+    # above k-1 leaves a border to crop.
+    flipped = k[::-1, ::-1].swapaxes(2, 3) if dense else k[::-1, ::-1]
+    qy, qx = kh - 1 - padding, kw - 1 - padding
+    gx = _slide(g, flipped, max(qy, 0), max(qx, 0))
+    cy, cx = max(-qy, 0), max(-qx, 0)
+    gx = np.ascontiguousarray(gx[:, cy : cy + h, cx : cx + w])
+    return gx, gk, g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
@@ -860,12 +893,15 @@ def _conv(x: Tensor, kernel: Tensor, bias: Tensor, padding: int) -> Tensor:
     lead = x_shape[:-3]
     xb = xd.reshape(math.prod(lead), *x_shape[-3:])
     out, k = _conv_forward(xb, kernel.data, bias.data, padding)
+    out = out.reshape(*lead, *out.shape[1:])
+    if not _TAPES:
+        return _emit(out, (x, kernel, bias), None)
 
     def bwd(g):
         gx, gk, gb = _conv_backward(g.reshape(-1, *g.shape[-3:]), xb, k, padding)
         return gx.reshape(x_shape), gk, gb
 
-    return _emit(out.reshape(*lead, *out.shape[1:]), (x, kernel, bias), bwd)
+    return _emit(out, (x, kernel, bias), bwd)
 
 
 def _conv_input(x: Tensor, name: str, layout: str) -> None:

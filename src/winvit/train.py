@@ -64,11 +64,12 @@ class TrainState:
 
     Build it with :meth:`init`, which moves the parameters of each dtype
     into one flat buffer and rebinds every ``Tensor.data`` to a view of it;
-    the moments are views of two more flat buffers. ``flats`` holds, per
-    dtype, the parameter, m and v buffers and each parameter's (name,
-    tensor, data view, (m, v) views); ``params`` and ``moments`` are read
-    from it. :func:`train_loop` sets ``last_val`` to the metrics of its
-    latest val-split evaluation.
+    the moments live in two more flat buffers, which :func:`adamw_step`
+    replaces with the new moments at each step. ``flats`` holds, per dtype,
+    the parameter, m and v buffers and each parameter's (name, tensor, data
+    view, offset in the buffers); ``params`` and ``moments`` are read from
+    it. :func:`train_loop` sets ``last_val`` to the metrics of its latest
+    val-split evaluation.
     """
 
     flats: list = field(repr=False)
@@ -84,14 +85,12 @@ class TrainState:
         for dtype in dict.fromkeys(t.dtype for _, t in params):
             group = [(name, t) for name, t in params if t.dtype == dtype]
             theta = np.concatenate([t.data.reshape(-1) for _, t in group])
-            m, v = np.zeros_like(theta), np.zeros_like(theta)
             members, start = [], 0
             for name, t in group:
-                end = start + t.size
-                t.data, mt, vt = (flat[start:end].reshape(t.shape) for flat in (theta, m, v))
-                members.append((name, t, t.data, (mt, vt)))
-                start = end
-            flats.append((theta, m, v, members))
+                t.data = theta[start : start + t.size].reshape(t.shape)
+                members.append((name, t, t.data, start))
+                start += t.size
+            flats.append((theta, np.zeros_like(theta), np.zeros_like(theta), members))
         return cls(flats=flats)
 
     @property
@@ -101,8 +100,10 @@ class TrainState:
 
     @property
     def moments(self) -> dict:
-        """name -> (m, v) views, shape-matched to the parameter."""
-        return {name: mv for *_, members in self.flats for name, _, _, mv in members}
+        """name -> (m, v) views of the current moment buffers, shape-matched
+        to the parameter; a later step does not update them."""
+        return {name: tuple(flat[start : start + view.size].reshape(view.shape) for flat in (m, v))
+                for _, m, v, members in self.flats for name, _, view, start in members}
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -132,8 +133,11 @@ def adamw_step(
     Decay is applied as theta -= lr * lambda * theta, separate from the
     moment-driven term; a parameter with no recorded gradient still decays.
     Every gradient is checked and gathered into a flat array (in its
-    parameter's dtype) before anything is written, so a bad gradient leaves
-    the state as it was; then each operation runs once per flat buffer.
+    parameter's dtype) before anything is written, and each operation runs
+    once per flat buffer. The new moments and parameters are built beside
+    the old ones and written only once every new parameter is finite; a
+    step that would make one non-finite raises :class:`DivergenceError`
+    and leaves the parameters, the moments and ``step`` as they were.
     """
     gathered = []
     for theta, _, _, members in state.flats:
@@ -152,27 +156,48 @@ def adamw_step(
     t = state.step + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for (theta, m, v, _), g in zip(state.flats, gathered):
-        m *= b1
-        tmp = g * (1.0 - b1)
-        m += tmp
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v += tmp
-        # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        np.divide(m, c1, out=g)
-        g *= lr
-        g /= tmp
-        theta -= g
-        if weight_decay:
-            np.multiply(theta, lr * weight_decay, out=g)
-            theta -= g
+    built = []
+    # an overflow or an inf - inf here is reported below, as the parameter
+    # it would have made non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (theta, m, v, members), g in zip(state.flats, gathered):
+            m_new = m * b1
+            tmp = g * (1.0 - b1)
+            m_new += tmp
+            v_new = v * b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v_new += tmp
+            # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
+            np.divide(v_new, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m_new, c1, out=g)
+            g *= lr
+            g /= tmp
+            theta_new = np.subtract(theta, g, out=tmp)
+            if weight_decay:
+                np.multiply(theta_new, lr * weight_decay, out=g)
+                theta_new -= g
+            if not np.isfinite(theta_new).all():
+                raise DivergenceError(
+                    f"step {t} (lr={lr:.4g}) would leave parameter "
+                    f"{_first_nonfinite(theta_new, members)} non-finite; nothing was updated"
+                )
+            built.append((theta_new, m_new, v_new))
+    for i, (theta_new, m_new, v_new) in enumerate(built):
+        theta, _, _, members = state.flats[i]
+        theta[...] = theta_new
+        state.flats[i] = (theta, m_new, v_new, members)
     state.step = t
     return state
+
+
+def _first_nonfinite(flat: np.ndarray, members) -> str:
+    """The name of the first member whose slice of ``flat`` holds a
+    non-finite value."""
+    return next(name for name, _, view, start in members
+                if not np.isfinite(flat[start : start + view.size]).all())
 
 
 def metrics(confusion: np.ndarray) -> dict:

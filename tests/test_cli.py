@@ -370,6 +370,23 @@ class TestTrainEval:
         assert "checkpoint error" in capsys.readouterr().err
         assert not any(p.suffix in (".wmh", ".tmp") for p in out.iterdir())
 
+    @pytest.mark.parametrize("flags", [
+        ["lr_init=1e30"],
+        ["lr_min=0", "lr_init=1e38"],
+        ["weight_decay=1e308"],
+    ])
+    def test_train_that_would_write_nonfinite_parameters_exits_1(self, tmp_path, capsys, flags):
+        # each of these steps overflows the update or the decay of a finite
+        # gradient; the run stops before any parameter or checkpoint holds
+        # the result
+        out = tmp_path / "run"
+        sets = [arg for flag in flags for arg in ("--set", flag)]
+        code = main(["train", *sets, "--set", "samples_per_class=2", "--set", "epochs=1",
+                     "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "error: step 1 ")
+        assert not list(out.glob("*.wmh"))
+
     def test_train_divergent_lr_exits_1(self, tmp_path, capsys, monkeypatch):
         import winvit.train as train_mod
 
@@ -665,6 +682,28 @@ class TestOutputFaults:
 
 
 class TestConsoleScript:
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path):
+        # The child caps its own address space, and no other process's. At
+        # image_size=4096 one rendered image is 384 MiB of float64, so the
+        # dataset outgrows the cap before --out is made.
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "winvit.cli", "train", "--set", "image_size=4096",
+             "--set", "samples_per_class=2", "--set", "epochs=1", "--out", str(out)],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert not out.exists()
+
     def test_installed_script_runs_describe(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "winvit.cli", "describe", "--out", str(tmp_path)],

@@ -387,6 +387,28 @@ class TestBatchedForward:
             tracemalloc.stop()
         assert peak < 20e6, f"peak {peak / 1e6:.2f} MB"
 
+    def test_desk_step_keeps_no_rebuildable_array(self):
+        # The attention backward rebuilds its q/k/v buffer, stacked weight
+        # and merged heads; the fc1 and fc2 matmuls keep the recipes of the
+        # ln2 and gate outputs instead of those arrays; the depthwise-conv
+        # backward frees its kernel-gradient temporaries before the input
+        # gradient's. One desk B=8 step then holds 8.90 MB after the forward
+        # and peaks at 10.67 MB, against 13.83 and 15.77 MB keeping them.
+        m = Model(ModelConfig())
+        images = tc.Tensor(np.random.default_rng(165).normal(size=(8, 3, 64, 64)).astype(np.float32))
+        labels = np.arange(8) % 3
+        tracemalloc.start()
+        try:
+            with tc.Tape() as tape:
+                loss = tc.cross_entropy_logits(classify(images, m, training=True), labels)
+            held = tracemalloc.get_traced_memory()[0]
+            tc.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 9.5e6, f"held {held / 1e6:.2f} MB after the forward"
+        assert peak < 11.5e6, f"peak {peak / 1e6:.2f} MB"
+
     @staticmethod
     def _record_outputs(monkeypatch) -> list:
         """Every op output from here on, in emit order."""
@@ -473,6 +495,19 @@ class TestCheckpoints:
         raw = path.read_bytes()
         assert (hashlib.sha256(raw).hexdigest(), len(raw)) == (digest, size)
         assert load_checkpoint(path).config == ModelConfig(**fields)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_parameter_is_not_written(self, tmp_path, value):
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(small_config()), path)
+        before = path.read_bytes()
+        m = randomize(Model(small_config()), seed=149)
+        m.blocks[0].fc2_weight.data[1, 2] = value
+        with pytest.raises(CheckpointError, match="block0.fc2_weight holds a non-finite value"):
+            save_checkpoint(m, path)
+        # the file already there is left as it was, and no temporary remains
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.wmh"]
 
     def test_roundtrip_bit_exact(self, tmp_path):
         m = randomize(Model(small_config(depth=2)), seed=150)

@@ -214,6 +214,28 @@ class TestTrainStateBuffers:
             np.testing.assert_array_equal(a, b)
         assert state.step == 1
 
+    @pytest.mark.parametrize("lr, poison", [(1e-2, np.inf), (1e-2, np.nan), (1e30, None)],
+                             ids=["inf-gradient", "nan-gradient", "overflowing-decay"])
+    def test_nonfinite_step_changes_nothing(self, lr, poison):
+        # a non-finite gradient, or a finite one whose update overflows,
+        # stops the step before it writes a parameter, a moment or the count
+        model = Model(ModelConfig(**TINY_MODEL))
+        state = TrainState.init(model.named_params())
+        grads, _ = model_grads(model, 0)
+        adamw_step(state, grads, lr=1e-2, weight_decay=0.05)  # nonzero moments
+        def arrays():
+            return [a for name, t in state.params for a in (t.data, *state.moments[name])]
+
+        snapshot = [a.copy() for a in arrays()]
+        name = "block0.fc1_bias" if poison else r"\S+"
+        if poison:
+            grads[model.blocks[0].fc1_bias][3] = poison
+        with pytest.raises(DivergenceError, match=f"step 2 .*parameter {name} non-finite"):
+            adamw_step(state, grads, lr=lr, weight_decay=0.05)
+        for a, b in zip(arrays(), snapshot):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 1
+
     def test_rebound_parameter_is_an_error_naming_it(self):
         model = Model(ModelConfig(**TINY_MODEL))
         state = TrainState.init(model.named_params())
@@ -471,15 +493,56 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train_loop(model, data["train"], data["val"], cfg)
 
+    def test_inf_gradient_at_the_final_step_writes_nothing(self, tmp_path, monkeypatch):
+        data = tiny_data()
+        model = Model(ModelConfig(**TINY_MODEL))
+        cfg = TrainConfig(epochs=1, batch_size=4, eval_every=1)
+        total = math.ceil(len(data["train"].images) / cfg.batch_size)
+        seen = {"steps": 0}
+        real_backward, real_adamw = train_mod.backward, train_mod.adamw_step
+
+        def backward(loss, tape):
+            grads = real_backward(loss, tape)
+            seen["steps"] += 1
+            if seen["steps"] == total:
+                grads[model.head_bias][0] = np.inf
+            return grads
+
+        def adamw_step(state, grads, *args, **kwargs):
+            seen["state"] = state
+            seen["before"] = [a.copy() for name, t in state.params
+                              for a in (t.data, *state.moments[name])]
+            return real_adamw(state, grads, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "backward", backward)
+        monkeypatch.setattr(train_mod, "adamw_step", adamw_step)
+        with pytest.raises(DivergenceError, match=f"step {total} .*parameter head_bias non-finite"):
+            train_loop(model, data["train"], data["val"], cfg,
+                       metrics_path=tmp_path / "metrics.csv", checkpoint_dir=tmp_path)
+        state = seen["state"]
+        assert total > 1 and state.step == total - 1
+        after = [a for name, t in state.params for a in (t.data, *state.moments[name])]
+        for a, b in zip(after, seen["before"]):
+            np.testing.assert_array_equal(a, b)
+        # every earlier step logged its row and wrote its checkpoint
+        assert {p.name for p in tmp_path.glob("*.wmh")} == {f"ckpt_step{s}.wmh" for s in range(1, total)}
+        assert len((tmp_path / "metrics.csv").read_text().splitlines()) == total
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_activation_is_divergence(self, value):
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(np.nan, "non-finite loss", id="nan"),
+        pytest.param(np.inf, "non-finite loss", id="inf"),
+        # gelu(-inf) is -0, so the loss stays finite, and the first update
+        # refuses to write the bias back
+        pytest.param(-np.inf, "step 1 .* would leave parameter block0.fc1_bias non-finite", id="-inf"),
+    ])
+    def test_nonfinite_activation_is_divergence(self, value, message):
         # a non-finite fc1 output reaches gelu; the step must end in the
         # loop's DivergenceError, not in an exception from inside an op
         data = tiny_data()
         model = Model(ModelConfig(**TINY_MODEL))
         dict(model.named_params())["block0.fc1_bias"].data[0] = value
-        with pytest.raises(DivergenceError, match="non-finite loss"):
+        with pytest.raises(DivergenceError, match=message):
             train_loop(model, data["train"], data["val"], TrainConfig(epochs=1, batch_size=4))
 
     def test_empty_train_split_rejected(self):
