@@ -13,6 +13,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WMHV1"
 CHECKPOINT_VERSION = 1
+# the init generator of a model about to be overwritten: trunc_normal gets
+# zeros, which it never resamples, and numpy.random is never imported
+_ZEROS = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,21 @@ class Block:
 
 
 class Model:
-    """Full classifier; construction is deterministic in config.seed."""
+    """Full classifier; construction is deterministic in config.seed.
+    ``load_checkpoint`` and ``to_dtype``, which overwrite every value,
+    build the same structure and draw nothing."""
 
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    @classmethod
+    def _blank(cls, config: ModelConfig) -> "Model":
+        model = cls.__new__(cls)
+        model._build(config, _ZEROS)
+        return model
+
+    def _build(self, config: ModelConfig, rng) -> None:
         self.config = config
-        rng = np.random.default_rng(config.seed)
         c = config.embed_dim
         patch_in = 3 * config.patch_size**2
         self.patch_weight = tc.trunc_normal(rng, (patch_in, c), std=math.sqrt(2.0 / patch_in))
@@ -169,7 +183,7 @@ class Model:
         """Copy with every parameter cast; used for 64-bit verification.
         Tensors shared between names (``shared_qk``) stay shared, since
         ``named_params`` yields each once."""
-        other = Model(self.config)
+        other = Model._blank(self.config)
         for (_, src), (_, dst) in zip(self.named_params(), other.named_params()):
             dst.data = src.data.astype(dtype)
         return other
@@ -314,7 +328,9 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
-    """Rebuild a model from ``path``.
+    """Rebuild a model from ``path``. The model is built without an init
+    draw and filled from the file; a stored value that is not finite in
+    the model's dtype raises :class:`CheckpointError`.
 
     With ``config`` given, the file must agree with it in every field but
     ``seed`` and ``dropout_rate``; a disagreement is reported against the
@@ -340,7 +356,7 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
             left = len(raw) - f.tell()
             if stored.depth * 24 > left or model_cost(stored, "windowed").total_params * 4 > left:
                 raise CheckpointTruncatedError(f"{left} bytes cannot hold the stored config's parameters")
-        model = Model(config if config is not None else stored)
+        model = Model._blank(config if config is not None else stored)
         for tag, params in model.sections():
             raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:
@@ -354,13 +370,17 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
                 raise CheckpointShapeError(
                     f"section {tag!r} holds {count} tensors, config expects {len(params)}"
                 )
-            for _, t in params:
+            for name, t in params:
                 loaded = tc.read_tensor(f)
                 if loaded.shape != t.shape:
                     raise CheckpointShapeError(
                         f"section {tag!r}: stored tensor {loaded.shape} does not fit {t.shape}"
                     )
-                t.data[...] = loaded.data.astype(t.dtype)
+                # a float64 file can hold values past float32's range
+                with np.errstate(over="ignore"):
+                    t.data[...] = loaded.data
+                if not np.isfinite(t.data).all():
+                    raise CheckpointError(f"parameter {name} in {path} holds a non-finite value")
         if f.read(1):
             raise CheckpointError("trailing bytes after final section")
     if model.config.image_size != stored.image_size:

@@ -135,9 +135,10 @@ def adamw_step(
     Every gradient is checked and gathered into a flat array (in its
     parameter's dtype) before anything is written, and each operation runs
     once per flat buffer. The new moments and parameters are built beside
-    the old ones and written only once every new parameter is finite; a
-    step that would make one non-finite raises :class:`DivergenceError`
-    and leaves the parameters, the moments and ``step`` as they were.
+    the old ones and written only once every new parameter and second
+    moment is finite; a step that would make one non-finite raises
+    :class:`DivergenceError` and leaves the parameters, the moments and
+    ``step`` as they were.
     """
     gathered = []
     for theta, _, _, members in state.flats:
@@ -179,11 +180,14 @@ def adamw_step(
             if weight_decay:
                 np.multiply(theta_new, lr * weight_decay, out=g)
                 theta_new -= g
-            if not np.isfinite(theta_new).all():
-                raise DivergenceError(
-                    f"step {t} (lr={lr:.4g}) would leave parameter "
-                    f"{_first_nonfinite(theta_new, members)} non-finite; nothing was updated"
-                )
+            # an overflowing second moment would leave the update 0 and the
+            # parameter frozen, so it fails the step too
+            for flat, what in ((theta_new, ""), (v_new, "'s second moment")):
+                if not np.isfinite(flat).all():
+                    raise DivergenceError(
+                        f"step {t} (lr={lr:.4g}) would leave parameter "
+                        f"{_first_nonfinite(flat, members)}{what} non-finite; nothing was updated"
+                    )
             built.append((theta_new, m_new, v_new))
     for i, (theta_new, m_new, v_new) in enumerate(built):
         theta, _, _, members = state.flats[i]

@@ -304,6 +304,16 @@ class TestTrainEval:
         assert code == 3
         assert_one_error_line(capsys, "checkpoint error: checkpoint holds an image_size 16 model")
 
+    def test_eval_nonfinite_checkpoint_exits_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "nan.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        raw = bytearray(ckpt.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()  # the last head_bias value
+        ckpt.write_bytes(bytes(raw))
+        code = main(["eval", *TINY, "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert_one_error_line(capsys, "checkpoint error: parameter head_bias in ")
+
     def test_eval_without_checkpoint_flag_exits_2(self, capsys):
         assert main(["eval", *TINY]) == 2
 

@@ -509,6 +509,54 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.wmh"]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_stored_value_is_refused(self, tmp_path, value):
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(small_config()), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(value).tobytes()  # the last head_bias value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="parameter head_bias in .* holds a non-finite value"):
+            load_checkpoint(path)
+
+    def test_float64_value_past_float32_range_is_refused(self, tmp_path):
+        m = Model(small_config()).to_dtype(np.float64)
+        m.blocks[0].fc1_bias.data[2] = 1e300
+        path = tmp_path / "model.wmh"
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError, match="parameter block0.fc1_bias in .* non-finite"):
+            load_checkpoint(path)
+
+    BLANK_CONFIGS = [ModelConfig(), ModelConfig(sharing_mode="shared_qk", dropout_rate=0.25, seed=3)]
+
+    @pytest.mark.parametrize("cfg", BLANK_CONFIGS, ids=["desk", "shared_qk-dropout"])
+    def test_load_and_to_dtype_draw_no_init(self, tmp_path, monkeypatch, cfg):
+        m = randomize(Model(cfg), seed=160)
+        path = tmp_path / "model.wmh"
+        save_checkpoint(m, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an init was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for back, dtype in ((load_checkpoint(path), np.float32), (m.to_dtype(np.float64), np.float64)):
+            assert back.config == cfg and vars(back).keys() == vars(m).keys()
+            for (na, ta), (nb, tb) in zip(m.named_params(), back.named_params(), strict=True):
+                assert na == nb and tb.dtype == dtype and tb is not ta
+                assert np.array_equal(ta.data, tb.data)
+            for block in back.blocks:
+                assert (block.attn.w_k is block.attn.w_q) == (cfg.sharing_mode == "shared_qk")
+
+    @pytest.mark.parametrize("cfg", BLANK_CONFIGS, ids=["desk", "shared_qk-dropout"])
+    def test_load_never_imports_numpy_random(self, tmp_path, cfg):
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(cfg), path)
+        probe = ("import sys, winvit; winvit.load_checkpoint(sys.argv[1]); "
+                 "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_roundtrip_bit_exact(self, tmp_path):
         m = randomize(Model(small_config(depth=2)), seed=150)
         path = tmp_path / "model.wmh"

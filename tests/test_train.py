@@ -236,6 +236,23 @@ class TestTrainStateBuffers:
             np.testing.assert_array_equal(a, b)
         assert state.step == 1
 
+    def test_overflowing_second_moment_fails_the_step(self):
+        # a finite float32 gradient of 1e21 squares past float32's range; an
+        # inf second moment would make every later update 0
+        p, q = tc.Tensor(np.ones(3, np.float32)), tc.Tensor(np.ones(2, np.float32))
+        state = TrainState.init([("p", p), ("q", q)])
+        adamw_step(state, tc.Gradients({id(p): np.ones(3, np.float32)}), lr=1e-2)
+        def arrays():
+            return [a for name, t in state.params for a in (t.data, *state.moments[name])]
+
+        snapshot = [a.copy() for a in arrays()]
+        grads = tc.Gradients({id(p): np.array([1.0, 1e21, 1.0], np.float32)})
+        with pytest.raises(DivergenceError, match=r"step 2 .*parameter p's second moment non-finite"):
+            adamw_step(state, grads, lr=1e-2)
+        for a, b in zip(arrays(), snapshot, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 1
+
     def test_rebound_parameter_is_an_error_naming_it(self):
         model = Model(ModelConfig(**TINY_MODEL))
         state = TrainState.init(model.named_params())
