@@ -41,9 +41,12 @@ and softmax are not counted.
 
 Allocator policy: a train step has freed its whole graph by its end, and
 glibc's malloc would then hand the heap top back to the OS and fault it
-back in on the next step (about 4,000 minor page faults per desk B=8
-step). On glibc, importing this module therefore fixes malloc's trim threshold at 256 MiB
-and its mmap threshold at 32 MiB through ``mallopt``, once per process.
+back in on the next step. On glibc, importing this module therefore fixes
+malloc's trim threshold at 256 MiB and its mmap threshold at 32 MiB
+through ``mallopt``, once per process. On a 2-vCPU VM (Python 3.11,
+numpy 2.4, one BLAS thread), a desk B=8 step then takes about 1 minor
+page fault instead of 1,900, and a median 27.5-29.2 ms instead of
+30.2-34.5 ms (faster in 6 of 6 process pairs), for 0.7 MB more peak RSS.
 A threshold the environment sets (``MALLOC_TRIM_THRESHOLD_``,
 ``MALLOC_MMAP_THRESHOLD_`` or its ``glibc.malloc`` tunable) is left to it,
 and no other setting stops the policy. Other C libraries are left alone.

@@ -1,9 +1,10 @@
 """Command-line interface tests.
 
 Commands run in-process through main(argv) so exit codes and output are
-asserted directly; one subprocess test confirms the installed console
-script is wired to the same entry point. The describe table is pinned
-byte-for-byte against a golden file.
+asserted directly; subprocess tests run `python -m winvit.cli` where only
+a separate process can show the behaviour: a config piped through
+/dev/stdin, and a run that outgrows its own address-space cap. The
+describe table is pinned byte-for-byte against a golden file.
 """
 
 import builtins
@@ -239,12 +240,18 @@ class TestTrainEval:
         metrics_lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert metrics_lines[0] == "step,lr,loss,acc,pre,rec,f1"
 
-        code = main(["eval", *TINY, "--checkpoint", str(out / "checkpoint.wmh")])
+        final = [ln for ln in stdout.splitlines() if ln.startswith("final val: ")]
+        assert len(final) == 1
+
+        # the recorded config and the checkpoint evaluate to what train reported
+        code = main(["eval", "--config", str(out / "config_resolved.txt"),
+                     "--checkpoint", str(out / "checkpoint.wmh")])
         assert code == 0
         line = capsys.readouterr().out.strip()
         assert line.startswith("acc=")
         for key in ("pre=", "rec=", "f1="):
             assert key in line
+        assert line == final[0].removeprefix("final val: ")
 
     def test_train_evaluates_val_once_per_eval_point(self, tmp_path, capsys, monkeypatch):
         # "final val:" reports train_loop's evaluation at the final step;
@@ -324,8 +331,9 @@ class TestTrainEval:
         assert code == 2
         assert_one_error_line(capsys, "config error: cannot create output directory")
 
-    def test_train_config_record_unwritable_exits_2(self, tmp_path, capsys):
-        (tmp_path / "config_resolved.txt").mkdir()
+    @pytest.mark.parametrize("record", ["config_resolved.txt", "metrics.csv"])
+    def test_train_config_record_unwritable_exits_2(self, tmp_path, capsys, record):
+        (tmp_path / record).mkdir()
         code = main(["train", *TINY, "--set", "epochs=1", "--out", str(tmp_path)])
         assert code == 2
         assert_one_error_line(capsys, "config error: cannot write")
@@ -714,11 +722,17 @@ class TestConsoleScript:
         assert proc.stderr.startswith("error: out of memory: ")
         assert not out.exists()
 
-    def test_installed_script_runs_describe(self, tmp_path):
+    def test_config_piped_through_stdin_reads_as_the_file_does(self, tmp_path):
+        # a byte-order mark and CRLF lines, read from a pipe and from a file
+        raw = b"\xef\xbb\xbfembed_dim=32\r\ndepth=2\r\n"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(raw)
+        assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
         proc = subprocess.run(
-            [sys.executable, "-m", "winvit.cli", "describe", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
+            [sys.executable, "-m", "winvit.cli", "describe", "--config", "/dev/stdin",
+             "--out", str(tmp_path / "pipe")],
+            input=raw, capture_output=True,
         )
-        assert proc.returncode == 0
-        assert "windowed attention saves 3145728 FLOPs" in proc.stdout
+        assert proc.returncode == 0, proc.stderr
+        expected = (tmp_path / "file" / "describe.csv").read_bytes()
+        assert (tmp_path / "pipe" / "describe.csv").read_bytes() == expected
