@@ -30,8 +30,8 @@ from .tensor import Tensor
 SHARING_MODES = ("standard", "shared_qk")
 
 # When set, the bias is subtracted from the scores instead of added.
-# Deliberate defect switch used by the self-check command to prove the
-# invariant suites can catch a wrong-sign regression; never on by default.
+# Deliberate defect switch, set by tests and the check-f64 benchmark canary
+# to prove the invariant suites catch a wrong-sign regression; off by default.
 _FAULT_BIAS_SIGN = False
 
 

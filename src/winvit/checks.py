@@ -18,7 +18,6 @@ from . import tensor as tc
 from .attention import (
     WindowAttentionParams,
     WindowGeometry,
-    build_bias_index,
     global_mha_forward,
     window_merge,
     window_partition,

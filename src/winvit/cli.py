@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .attention import set_fault_bias_sign
+from .attention import window_partition
 from .checks import run_suites
 from .costs import model_cost, render_comparison
 from .data import (
@@ -146,11 +146,7 @@ def cmd_describe(run: RunConfig, args) -> int:
 
 def cmd_check(run: RunConfig, args) -> int:
     run.model_config()  # validate geometry keys even though suites pin their own
-    set_fault_bias_sign(args.fault_bias_sign)
-    try:
-        ok, results = run_suites(tight_gradients=args.f64)
-    finally:
-        set_fault_bias_sign(False)
+    ok, results = run_suites(tight_gradients=args.f64)
     width = max(len(name) for name, _, _ in results)
     for name, passed, detail in results:
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
@@ -232,7 +228,6 @@ def cmd_heatmap(run: RunConfig, args) -> int:
             raise ConfigError("no validation image available; pass --image")
         image = val.images[0]
     g = config.grid
-    m = config.window
     tokens = config.tokens
     token = tokens // 2 if args.token is None else args.token
     if not 0 <= token < tokens:
@@ -244,9 +239,10 @@ def cmd_heatmap(run: RunConfig, args) -> int:
     pred = int(np.argmax(logits.data))
     factor = config.patch_size
     r, c = divmod(token, g)
-    wr, wc = r // m, c // m
-    win_index = wr * (g // m) + wc
-    pos = (r % m) * m + (c % m)
+    # slots[w, p]: the grid token at position p of window w, as attention orders them
+    index_grid = Tensor(np.arange(tokens).reshape(g, g, 1))
+    slots = window_partition(index_grid, config.window).data[..., 0].astype(np.int64)
+    (win, pos), = np.argwhere(slots == token)
     written = []
     for i, cap in enumerate(capture):
         sam = cap["sam"].data[0]
@@ -255,11 +251,10 @@ def cmd_heatmap(run: RunConfig, args) -> int:
         written.append(path)
         attn = cap["attn"].data  # (N, heads, M^2, M^2)
         for j in range(attn.shape[1]):
-            row = attn[win_index, j, pos]
-            full = np.zeros((g, g))
-            full[wr * m:(wr + 1) * m, wc * m:(wc + 1) * m] = row.reshape(m, m)
+            full = np.zeros(tokens)
+            full[slots[win]] = attn[win, j, pos]
             path = os.path.join(out, f"block{i}_head{j}.ppm")
-            write_ppm_p5(path, _upsample(_to_u8(full), factor))
+            write_ppm_p5(path, _upsample(_to_u8(full.reshape(g, g)), factor))
             written.append(path)
     print(f"predicted class {pred}; query token {token} (row {r}, col {c})")
     print(f"wrote {len(written)} maps to {out}")
@@ -294,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("describe", cmd_describe, "analytical cost tables for both attention variants")
     p = command("check", cmd_check, "run the invariant suites")
     p.add_argument("--f64", action="store_true", help="tighten the gradient tolerance to 1e-5")
-    p.add_argument("--fault-bias-sign", action="store_true", help=argparse.SUPPRESS)
     command("train", cmd_train, "train on the configured dataset")
     p = command("eval", cmd_eval, "evaluate a checkpoint on the val split")
     p.add_argument("--checkpoint", metavar="PATH")

@@ -211,7 +211,6 @@ def patch_embed(image: Tensor, model: Model) -> Tensor:
 def block_forward(
     x: Tensor,
     block: Block,
-    config: ModelConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
     capture: dict | None = None,
@@ -228,14 +227,14 @@ def block_forward(
     h, w = x.shape[-3:-1]
     normed = tc.layernorm_lastdim(x, block.ln1_gamma, block.ln1_beta)
     attn_out = window_mha_forward(
-        window_partition(normed, config.window), block.attn,
+        window_partition(normed, block.attn.window), block.attn,
         training=training, rng=rng, return_scores=capture is not None,
     )
     if capture is not None:
         attn_out, _, capture["attn"] = attn_out
     # for one image in a (1, H, W, C) batch the merge is (H, W, C), which
     # the add broadcasts exactly
-    x = tc.add(x, window_merge(attn_out, WindowGeometry(h, w, config.window)))
+    x = tc.add(x, window_merge(attn_out, WindowGeometry(h, w, block.attn.window)))
 
     normed = tc.layernorm_lastdim(x, block.ln2_gamma, block.ln2_beta)
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
@@ -263,7 +262,7 @@ def classify(
     x = patch_embed(image, model)
     for block in model.blocks:
         cap = {} if capture is not None else None
-        x = block_forward(x, block, model.config, training=training, rng=rng, capture=cap)
+        x = block_forward(x, block, training=training, rng=rng, capture=cap)
         if capture is not None:
             capture.append(cap)
     pooled = tc.reduce_mean(x, axes=(-3, -2))

@@ -139,6 +139,8 @@ class Tensor:
         # Op results are already valid: a C-contiguous float32/float64
         # ndarray with no zero-length axis (size 0 iff an axis is 0) is
         # kept as is. Everything else is converted and checked below.
+        # Without this path the gradient suite's float64 loss evaluation
+        # takes about 10% longer (median 325 vs 292 us).
         if (
             dtype is None
             and type(values) is np.ndarray
@@ -624,7 +626,9 @@ def sigmoid(a: Tensor) -> Tensor:
 _ERF_SPAN = 6.0
 _ERF_CELLS = 2048
 # _erf runs a larger array in chunks of this many elements, so its index
-# and scratch arrays (16 bytes an element in float32) stay chunk-sized
+# and scratch arrays (16 bytes an element in float32) stay chunk-sized.
+# Without chunks a desk B=8 train step's traced peak is 11.50 MB, not
+# 10.67 MB, and its ru_maxrss 52.0 MB, not 50.7 MB; step time shows no change.
 _ERF_CHUNK = 1 << 15
 
 

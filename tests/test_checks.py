@@ -4,15 +4,18 @@ The suites are themselves verification code, so the tests here focus on
 the meta-properties: everything passes on a healthy build, and the
 deliberate bias-sign fault is caught by the equivalence suite while
 leaving the autodiff suite green (the fault is in the math, not the
-gradient plumbing, and the checks must tell those apart).
+gradient plumbing, and the checks must tell those apart). One more check
+reads the package source: no module imports a name it never uses.
 """
+
+import ast
+from pathlib import Path
 
 from winvit.attention import set_fault_bias_sign
 from winvit.checks import (
     SUITES,
     run_suites,
     suite_equivalence,
-    suite_gradients,
     suite_roundtrip,
 )
 
@@ -33,17 +36,37 @@ class TestSuites:
     def test_bias_sign_fault_is_caught_by_equivalence(self):
         set_fault_bias_sign(True)
         try:
-            passed, detail = suite_equivalence()
-            assert not passed, "equivalence suite missed the sign fault"
-            grad_passed, _ = suite_gradients()
-            assert grad_passed, "gradient suite should not trip on a consistent fault"
             ok, results = run_suites()
-            assert not ok
-            by_name = {n: p for n, p, _ in results}
-            assert by_name["equivalence"] is False
-            assert by_name["gradients"] is True
         finally:
             set_fault_bias_sign(False)
+        assert not ok
+        by_name = {n: p for n, p, _ in results}
+        assert by_name["equivalence"] is False, "equivalence suite missed the sign fault"
+        assert by_name["gradients"] is True, "gradient suite should not trip on a consistent fault"
         # back to healthy after clearing the switch
         passed, _ = suite_equivalence()
         assert passed
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "winvit"
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py is skipped: its imports are the package's re-exports
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        # every name read, annotations and f-string fields included
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert not unused, f"imported but never used: {unused}"

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from winvit.attention import set_fault_bias_sign
 from winvit.cli import RunConfig, main
 from winvit.data import SyntheticSpec, bilinear_resize, read_ppm, read_ppm_p5, write_ppm_p6
 from winvit.errors import ConfigError
@@ -211,7 +212,11 @@ class TestCheck:
         assert "PASS" in grad_line and "< 1e-05" in grad_line
 
     def test_injected_fault_exits_1(self, capsys):
-        code = main(["check", "--fault-bias-sign"])
+        set_fault_bias_sign(True)
+        try:
+            code = main(["check"])
+        finally:
+            set_fault_bias_sign(False)
         assert code == 1
         out = capsys.readouterr().out
         assert "SUITE FAILURES PRESENT" in out
@@ -219,6 +224,13 @@ class TestCheck:
         assert "FAIL" in eq_line
         grad_line = next(l for l in out.splitlines() if l.startswith("gradients"))
         assert "PASS" in grad_line
+
+    def test_fault_option_is_a_usage_error(self, capsys):
+        # the bias-sign fault is switched in code only, never from the command line
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--fault-bias-sign"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fault-bias-sign" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +296,23 @@ class TestTrainEval:
         code = main(["eval", *TINY, "--checkpoint", str(ckpt)])
         assert code == 0
         assert "acc=0.3333" in capsys.readouterr().out
+
+    def test_eval_scores_the_val_split(self, tmp_path, capsys):
+        # the zero head predicts class 0 for every image, so the all-class-0
+        # train split would score 1 and the all-class-1 val split scores 0
+        rng = np.random.default_rng(193)
+        rows = ["filepath,label,split"]
+        for i, (label, split) in enumerate([(0, "train")] * 3 + [(1, "val")] * 2):
+            write_ppm_p6(tmp_path / f"{i}.ppm", rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint8))
+            rows.append(f"{i}.ppm,{label},{split}")
+        manifest = tmp_path / "data.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        ckpt = tmp_path / "fresh.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        code = main(["eval", *TINY, "--set", "dataset=manifest", "--set", f"manifest_path={manifest}",
+                     "--checkpoint", str(ckpt)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("acc=0.0000 ")
 
     def test_eval_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["eval", *TINY, "--checkpoint", str(tmp_path / "no.wmh")])

@@ -180,7 +180,7 @@ class TestForward:
         from winvit.model import block_forward
 
         x = patch_embed(img, m)
-        y = block_forward(x, blk, m.config)
+        y = block_forward(x, blk)
         np.testing.assert_allclose(y.data, x.data, atol=1e-6)
 
     def test_untrained_logits_equal_head_bias(self):
