@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .attention import SHARING_MODES
 from .errors import ConfigError
-from .model import Model, ModelConfig, classify
+from .model import DW_KERNEL, Model, ModelConfig, classify
 from .spatial import KERNEL_SIZE
 from .tensor import FlopCounter, Tensor
 
@@ -105,7 +105,7 @@ def model_cost(config: ModelConfig, variant: str) -> CostReport:
         emit(f"block{i}.attn", attn["params"], attn["flops"])
         emit(f"block{i}.ln2", 2 * c, 0)
         emit(f"block{i}.fc1", c * rc + rc, 2 * l * c * rc)
-        emit(f"block{i}.dwconv", rc * 9 + rc, 2 * rc * 9 * l)
+        emit(f"block{i}.dwconv", rc * DW_KERNEL * DW_KERNEL + rc, 2 * rc * DW_KERNEL * DW_KERNEL * l)
         emit(f"block{i}.sam", 2 * KERNEL_SIZE * KERNEL_SIZE + 1,
              2 * 2 * KERNEL_SIZE * KERNEL_SIZE * l)
         emit(f"block{i}.fc2", rc * c + c, 2 * l * rc * c)

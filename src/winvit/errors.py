@@ -51,4 +51,4 @@ class CheckpointTruncatedError(CheckpointError):
 
 
 class CheckpointShapeError(CheckpointError):
-    """A stored section disagrees with the shapes implied by the config."""
+    """The stored config differs from a requested one, or a section from its header."""

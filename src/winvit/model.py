@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +38,7 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"WMHV1"
 CHECKPOINT_VERSION = 1
+DW_KERNEL = 3  # side of the feed-forward path's depthwise conv
 # the init generator of a model about to be overwritten: trunc_normal gets
 # zeros, which it never resamples, and numpy.random is never imported
 _ZEROS = SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size))
@@ -116,7 +117,7 @@ class Block:
         # these layers start at a magnitude that preserves signal variance
         self.fc1_weight = tc.trunc_normal(rng, (c, hidden), std=math.sqrt(2.0 / c))
         self.fc1_bias = tc.zeros((hidden,))
-        self.dw_kernel = tc.trunc_normal(rng, (hidden, 3, 3), std=1.0 / 3.0)
+        self.dw_kernel = tc.trunc_normal(rng, (hidden, DW_KERNEL, DW_KERNEL), std=1.0 / DW_KERNEL)
         self.dw_bias = tc.zeros((hidden,))
         self.sam = SamParams(rng)
         self.fc2_weight = tc.trunc_normal(rng, (hidden, c), std=math.sqrt(2.0 / hidden))
@@ -238,7 +239,7 @@ def block_forward(
 
     normed = tc.layernorm_lastdim(x, block.ln2_gamma, block.ln2_beta)
     hidden = tc.gelu(tc.add(tc.matmul(normed, block.fc1_weight), block.fc1_bias))
-    hidden = tc.depthwise_conv2d(hidden, block.dw_kernel, block.dw_bias, padding=1)
+    hidden = tc.depthwise_conv2d(hidden, block.dw_kernel, block.dw_bias, padding=DW_KERNEL // 2)
     if capture is not None:
         gate = sam_map(hidden, block.sam, channel_axis=-1)
         capture["sam"] = tc.reshape(gate, (*x.shape[:-3], 1, h, w))
@@ -331,11 +332,11 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
     draw and filled from the file; a stored value that is not finite in
     the model's dtype raises :class:`CheckpointError`.
 
-    With ``config`` given, the file must agree with it in every field but
-    ``seed`` and ``dropout_rate``; a disagreement is reported against the
-    first section whose tensor shapes do not fit, or else as the one field
-    that shapes no tensor, ``image_size``. Without it, the config stored in
-    the file is used.
+    With ``config`` given, the stored config must agree with it in every
+    field but ``seed`` and ``dropout_rate``, which the model takes from
+    ``config``. The header alone decides this, before anything is built:
+    a :class:`CheckpointShapeError` names each field that differs. Without
+    it, the config stored in the file is used.
     """
     raw = tc.read_file(path, CheckpointError, "checkpoint")
     with io.BytesIO(raw) as f:
@@ -346,22 +347,26 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         stored = _read_config(f)
-        if config is None:
-            from .costs import model_cost  # costs imports this module
+        if config is not None:
+            compared = [k.name for k in fields(ModelConfig) if k.name not in ("seed", "dropout_rate")]
+            differ = [k for k in compared if getattr(stored, k) != getattr(config, k)]
+            if differ:
+                held, asked = (" ".join(f"{k}={getattr(c, k)}" for k in differ) for c in (stored, config))
+                raise CheckpointShapeError(f"checkpoint holds {held}, requested config has {asked}")
+        from .costs import model_cost  # costs imports this module
 
-            # the stored config must fit the bytes left before anything is
-            # built; depth goes first (a block writes three 8-byte section
-            # headers), which keeps model_cost's per-block walk bounded
-            left = len(raw) - f.tell()
-            if stored.depth * 24 > left or model_cost(stored, "windowed").total_params * 4 > left:
-                raise CheckpointTruncatedError(f"{left} bytes cannot hold the stored config's parameters")
+        # the stored config must fit the bytes left before anything is
+        # built; depth goes first (a block writes three 8-byte section
+        # headers), which keeps model_cost's per-block walk bounded
+        left = len(raw) - f.tell()
+        if stored.depth * 24 > left or model_cost(stored, "windowed").total_params * 4 > left:
+            raise CheckpointTruncatedError(f"{left} bytes cannot hold the stored config's parameters")
         model = Model._blank(config if config is not None else stored)
         for tag, params in model.sections():
             raw_tag = tc.read_exact(f, 4, CheckpointTruncatedError, f"section tag for {tag!r}")
             if raw_tag.decode("ascii", "replace") != tag:
-                against = "its stored config" if config is None else "the requested config"
                 raise CheckpointShapeError(
-                    f"section {raw_tag!r} where {tag!r} expected; checkpoint does not match {against}"
+                    f"section {raw_tag!r} where {tag!r} expected; checkpoint does not match its stored config"
                 )
             raw_count = tc.read_exact(f, 4, CheckpointTruncatedError, f"section {tag!r} header")
             (count,) = struct.unpack("<I", raw_count)
@@ -382,9 +387,4 @@ def load_checkpoint(path, config: ModelConfig | None = None) -> Model:
                     raise CheckpointError(f"parameter {name} in {path} holds a non-finite value")
         if f.read(1):
             raise CheckpointError("trailing bytes after final section")
-    if model.config.image_size != stored.image_size:
-        raise CheckpointShapeError(
-            f"checkpoint holds an image_size {stored.image_size} model, "
-            f"requested config has image_size {model.config.image_size}"
-        )
     return model

@@ -74,6 +74,7 @@ from .errors import (
 )
 
 DEFAULT_DTYPE = np.float32
+LAYERNORM_EPS = 1e-5
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 TENSOR_MAGIC = b"WMHT"
@@ -377,14 +378,14 @@ def ones(shape, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype))
 
 
-def trunc_normal(rng: np.random.Generator, shape, std=0.02, dtype=DEFAULT_DTYPE) -> Tensor:
+def trunc_normal(rng: np.random.Generator, shape, std=0.02) -> Tensor:
     """normal(0, std) resampled until every draw lies within +-2 std."""
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2.0 * std
     while bad.any():
         vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(vals) > 2.0 * std
-    return Tensor(vals.astype(dtype))
+    return Tensor(vals.astype(DEFAULT_DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +734,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _emit(out, (a,), bwd)
 
 
-def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(
@@ -747,7 +748,7 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     xhat = xd - xd.sum(axis=-1, keepdims=True) / n
     out = xhat * xhat
     var = out.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat *= inv
     gd, bd = gamma.data, beta.data
     np.multiply(xhat, gd, out=out)

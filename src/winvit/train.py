@@ -111,7 +111,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return tc.cross_entropy_logits(logits, labels)
 
 
-def cosine_lr(step: int, total_steps: int, lr_init: float = 7e-4, lr_min: float = 1e-6) -> float:
+def cosine_lr(step: int, total_steps: int, lr_init: float, lr_min: float) -> float:
     """lr_min + (lr_init - lr_min) * (1 + cos(pi * step/total)) / 2."""
     if total_steps < 1:
         raise ConfigError(f"total_steps must be >= 1, got {total_steps}")
@@ -125,8 +125,6 @@ def adamw_step(
     grads: Gradients,
     lr: float,
     weight_decay: float = 0.0,
-    betas=(ADAM_BETA1, ADAM_BETA2),
-    eps: float = ADAM_EPS,
 ) -> TrainState:
     """One decoupled-weight-decay Adam update, in place on the parameters.
 
@@ -153,26 +151,25 @@ def adamw_step(
                 raise ConfigError(f"gradient shape {g.shape} mismatches parameter {name} {view.shape}")
             parts.append(g.reshape(-1))
         gathered.append(np.concatenate(parts, dtype=theta.dtype))
-    b1, b2 = betas
     t = state.step + 1
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     built = []
     # an overflow or an inf - inf here is reported below, as the parameter
     # it would have made non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         for (theta, m, v, members), g in zip(state.flats, gathered):
-            m_new = m * b1
-            tmp = g * (1.0 - b1)
+            m_new = m * ADAM_BETA1
+            tmp = g * (1.0 - ADAM_BETA1)
             m_new += tmp
-            v_new = v * b2
-            np.multiply(g, 1.0 - b2, out=tmp)
+            v_new = v * ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
             tmp *= g
             v_new += tmp
             # update = lr * (m / c1) / (sqrt(v / c2) + eps), built in g
             np.divide(v_new, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += eps
+            tmp += ADAM_EPS
             np.divide(m_new, c1, out=g)
             g *= lr
             g /= tmp

@@ -5,7 +5,9 @@ the meta-properties: everything passes on a healthy build, and the
 deliberate bias-sign fault is caught by the equivalence suite while
 leaving the autodiff suite green (the fault is in the math, not the
 gradient plumbing, and the checks must tell those apart). One more check
-reads the package source: no module imports a name it never uses.
+reads the package source: no module imports a name it never uses, and
+every private module-level function, class or constant is read by some
+module.
 """
 
 import ast
@@ -51,13 +53,21 @@ class TestSuites:
 SRC = Path(__file__).resolve().parent.parent / "src" / "winvit"
 
 
+def _module_level_names(tree):
+    """Names a module binds at its top level: functions, classes and
+    assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
 def test_no_module_imports_an_unused_name():
-    # __init__.py is skipped: its imports are the package's re-exports
-    unused = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    unused, read_anywhere, private = {}, set(), {}
+    for name, tree in trees.items():
         imported = {
             alias.asname or alias.name.split(".")[0]
             for node in ast.walk(tree)
@@ -67,6 +77,15 @@ def test_no_module_imports_an_unused_name():
         }
         # every name read, annotations and f-string fields included
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        if imported - read:
-            unused[path.name] = sorted(imported - read)
+        # __init__.py is skipped: its imports are the package's re-exports
+        if name != "__init__.py" and imported - read:
+            unused[name] = sorted(imported - read)
+        # another module reads a private name as an attribute
+        # (``tc._conv_forward``) or imports it by name
+        read_anywhere |= read | {n.attr for n in ast.walk(tree)
+                                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        read_anywhere |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+        private[name] = {n for n in _module_level_names(tree) if n.startswith("_") and not n.startswith("__")}
     assert not unused, f"imported but never used: {unused}"
+    dead = {name: sorted(names - read_anywhere) for name, names in private.items() if names - read_anywhere}
+    assert not dead, f"private module-level names that no module reads: {dead}"

@@ -324,21 +324,25 @@ class TestTrainEval:
         assert code == 3
         assert_one_error_line(capsys, "checkpoint error: cannot open checkpoint")
 
-    def test_eval_wrong_config_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "heatmap"])
+    def test_wrong_config_exits_3(self, tmp_path, capsys, command):
         ckpt = tmp_path / "tiny.wmh"
         save_checkpoint(Model(tiny_model_config()), ckpt)
         args = [a if a != "embed_dim=8" else "embed_dim=16" for a in TINY]
-        code = main(["eval", *args, "--checkpoint", str(ckpt)])
+        code = main([command, *args, "--checkpoint", str(ckpt), "--out", str(tmp_path / "maps")])
         assert code == 3
-        assert "checkpoint error" in capsys.readouterr().err
+        assert_one_error_line(capsys, "checkpoint error: checkpoint holds embed_dim=8, "
+                                      "requested config has embed_dim=16")
+        assert not (tmp_path / "maps").exists()
 
     def test_eval_at_another_image_size_exits_3(self, tmp_path, capsys):
-        # image_size shapes no tensor, so only the config check catches it
+        # image_size shapes no tensor; the header comparison still names it
         ckpt = tmp_path / "tiny.wmh"
         save_checkpoint(Model(tiny_model_config()), ckpt)
         code = main(["eval", *TINY, "--set", "image_size=8", "--checkpoint", str(ckpt)])
         assert code == 3
-        assert_one_error_line(capsys, "checkpoint error: checkpoint holds an image_size 16 model")
+        assert_one_error_line(capsys, "checkpoint error: checkpoint holds image_size=16, "
+                                      "requested config has image_size=8")
 
     def test_eval_nonfinite_checkpoint_exits_3(self, tmp_path, capsys):
         ckpt = tmp_path / "nan.wmh"
@@ -750,6 +754,28 @@ class TestConsoleScript:
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: out of memory: ")
         assert not out.exists()
+
+    def test_oversized_requested_config_exits_3_before_allocating(self, tmp_path):
+        # Under the same 1 GiB cap, embed_dim=65536 would need a 32 GiB
+        # model; the checkpoint's header refuses the config before any
+        # parameter is allocated.
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        ckpt = tmp_path / "tiny.wmh"
+        save_checkpoint(Model(tiny_model_config()), ckpt)
+        args = [a if a != "embed_dim=8" else "embed_dim=65536" for a in TINY]
+        proc = subprocess.run(
+            [sys.executable, "-m", "winvit.cli", "eval", *args, "--checkpoint", str(ckpt)],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("checkpoint error: checkpoint holds embed_dim=8, ")
 
     def test_config_piped_through_stdin_reads_as_the_file_does(self, tmp_path):
         # a byte-order mark and CRLF lines, read from a pipe and from a file

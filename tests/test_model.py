@@ -6,6 +6,7 @@ straight line so any wiring mistake in the library (wrong residual, wrong
 norm placement, wrong reshape order) shows up as a mismatch.
 """
 
+import dataclasses
 import hashlib
 import io
 import struct
@@ -606,9 +607,33 @@ class TestCheckpoints:
         save_checkpoint(Model(small_config()), path)
         back = load_checkpoint(path, config=small_config(seed=5, dropout_rate=0.5))
         assert (back.config.seed, back.config.dropout_rate) == (5, 0.5)
-        # image_size shapes no tensor: a 16 px checkpoint fits an 8 px config
-        with pytest.raises(CheckpointShapeError, match="image_size 16 model, requested config has image_size 8"):
+        # image_size shapes no tensor, yet a 16 px checkpoint does not load as 8 px
+        want = "^checkpoint holds image_size=16, requested config has image_size=8$"
+        with pytest.raises(CheckpointShapeError, match=want):
             load_checkpoint(path, config=small_config(image_size=8))
+
+    # one differing value per compared field; each keeps SMALL a valid config
+    MISMATCHES = [("image_size", 8), ("patch_size", 8), ("embed_dim", 16), ("depth", 2), ("heads", 4),
+                  ("window", 4), ("mlp_ratio", 3), ("num_classes", 4), ("sharing_mode", "shared_qk")]
+
+    def test_mismatches_cover_every_compared_field(self):
+        compared = {f.name for f in dataclasses.fields(ModelConfig)} - {"seed", "dropout_rate"}
+        assert {name for name, _ in self.MISMATCHES} == compared
+
+    @pytest.mark.parametrize("field,value", MISMATCHES, ids=[name for name, _ in MISMATCHES])
+    def test_requested_config_mismatch_names_the_field_from_the_header(self, tmp_path, field, value):
+        cfg = small_config()
+        path = tmp_path / "model.wmh"
+        save_checkpoint(Model(cfg), path)
+        want = f"^checkpoint holds {field}={getattr(cfg, field)}, requested config has {field}={value}$"
+        with pytest.raises(CheckpointShapeError, match=want):
+            load_checkpoint(path, config=small_config(**{field: value}))
+        # the header alone decides: a file cut right after it reports the same
+        header = io.BytesIO()
+        _write_config(header, cfg)
+        path.write_bytes(path.read_bytes()[:len(CHECKPOINT_MAGIC) + 4 + len(header.getvalue())])
+        with pytest.raises(CheckpointShapeError, match=want):
+            load_checkpoint(path, config=small_config(**{field: value}))
 
     @pytest.mark.parametrize("fields", [{}, dict(sharing_mode="shared_qk"), dict(depth=0)],
                              ids=["standard", "shared_qk", "depth0"])
@@ -667,18 +692,12 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_wrong_config_names_offending_section(self, tmp_path):
-        m = Model(small_config())
+    def test_wrong_config_names_every_differing_field(self, tmp_path):
         path = tmp_path / "model.wmh"
-        save_checkpoint(m, path)
-        # wider model: the first mismatch is the patch embedding
+        save_checkpoint(Model(small_config()), path)
         with pytest.raises(CheckpointShapeError) as exc:
-            load_checkpoint(path, config=small_config(embed_dim=16))
-        assert "PEMB" in str(exc.value)
-        # deeper model: the loader runs out of block sections
-        with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)) as exc:
-            load_checkpoint(path, config=small_config(depth=2))
-        assert "ATTN" in str(exc.value)
+            load_checkpoint(path, config=small_config(embed_dim=16, depth=2, seed=4))
+        assert str(exc.value) == "checkpoint holds embed_dim=8 depth=1, requested config has embed_dim=16 depth=2"
 
     def test_zeroed_section_tag_names_the_config_it_was_read_against(self, tmp_path):
         cfg = small_config()
@@ -691,11 +710,11 @@ class TestCheckpoints:
         assert raw[tag_at:tag_at + 4] == b"PEMB"
         raw[tag_at:tag_at + 4] = bytes(4)
         path.write_bytes(bytes(raw))
-        # no config given: the file is read against the config it stores
-        with pytest.raises(CheckpointShapeError, match="does not match its stored config"):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointShapeError, match="does not match the requested config"):
-            load_checkpoint(path, config=cfg)
+        # a requested config has already matched the header, so either way
+        # the sections are read against the config the file stores
+        for requested in (None, cfg):
+            with pytest.raises(CheckpointShapeError, match="does not match its stored config"):
+                load_checkpoint(path, config=requested)
 
     def test_largest_seed_round_trips(self, tmp_path):
         cfg = small_config(seed=2**63 - 1)
@@ -715,8 +734,10 @@ class TestCheckpoints:
         _write_config(header, cfg)
         path = tmp_path / "crafted.wmh"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + header.getvalue())
-        with pytest.raises(CheckpointTruncatedError, match="bytes cannot hold"):
-            load_checkpoint(path)
+        # a requested config that matches the header meets the same bound
+        for requested in (None, cfg):
+            with pytest.raises(CheckpointTruncatedError, match="bytes cannot hold"):
+                load_checkpoint(path, config=requested)
 
     def test_large_window_header_fails_before_building_a_bias_index(self, tmp_path):
         # window 64 over a 64x64 token grid: the zero-padded file holds every

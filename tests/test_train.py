@@ -71,11 +71,11 @@ class TestCosineSchedule:
 
     def test_range_errors(self):
         with pytest.raises(ConfigError):
-            cosine_lr(-1, 100)
+            cosine_lr(-1, 100, 7e-4, 1e-6)
         with pytest.raises(ConfigError):
-            cosine_lr(101, 100)
+            cosine_lr(101, 100, 7e-4, 1e-6)
         with pytest.raises(ConfigError):
-            cosine_lr(0, 0)
+            cosine_lr(0, 0, 7e-4, 1e-6)
 
 
 # ---------------------------------------------------------------------------
